@@ -96,11 +96,9 @@ def failure_record(
 class ResultSet:
     """An append-only store of sweep records with key-based resume.
 
-    ``path=None`` keeps records in memory only (the non-persistent fast
-    path used by the legacy :func:`~repro.sim.experiments.run_sweep` shim).
-    With a path, every :meth:`append` writes and flushes one JSONL line, and
-    construction loads any records a previous (possibly interrupted) run
-    left behind.
+    ``path=None`` keeps records in memory only.  With a path, every
+    :meth:`append` writes and flushes one JSONL line, and construction
+    loads any records a previous (possibly interrupted) run left behind.
     """
 
     def __init__(self, path: str | Path | None = None):

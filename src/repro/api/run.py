@@ -1,9 +1,8 @@
 """Spec executors: the one engine behind every front end.
 
 :func:`run_sweep_spec` is the production path of the experiment harness —
-``python -m repro sweep``, the ``repro`` console script, the CI smoke entry,
-and the legacy :func:`repro.sim.experiments.run_sweep` shim all funnel into
-it.  It owns the orchestration policy:
+``python -m repro sweep``, the ``repro`` console script and the CI smoke
+entry all funnel into it.  It owns the orchestration policy:
 
 * **fail fast** — the spec is validated and every scenario name resolved
   *before* any worker forks;

@@ -3,8 +3,9 @@
 Two execution engines share the :class:`NodeAlgorithm`/:class:`Context`/
 :class:`Inbox` API: the synchronous :class:`Runner` (lock-step rounds, the
 model the paper's guarantees are stated in) and the asynchronous
-:class:`EventRunner` (virtual-time event heap, per-edge latency models,
-bandwidth/duration stopping conditions).  Under the default unit latency
+:class:`EventRunner` (a :class:`Runner` subclass on the same engine loop:
+virtual-time event heap, per-edge latency models, bandwidth/duration
+stopping conditions).  Under the default unit latency
 model the two are differentially identical; :func:`make_runner` plus the
 :func:`simulation_engine` context select the engine library-wide.
 

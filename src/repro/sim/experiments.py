@@ -23,8 +23,7 @@ Orchestration lives one layer up, in :mod:`repro.api`: build a
 :func:`~repro.api.run_sweep_spec`, which shards the cross product across
 ``multiprocessing`` workers, streams rows into a resumable
 :class:`~repro.api.ResultSet`, and skips cells an earlier (possibly
-interrupted) run already finished.  :func:`run_sweep` survives here as a
-thin **deprecated** shim over that path and returns the identical rows.
+interrupted) run already finished.
 
 Example::
 
@@ -54,8 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..api.algorithms import (
@@ -81,7 +79,6 @@ __all__ = [
     "list_scenarios",
     "list_algorithms",
     "run_scenario",
-    "run_sweep",
     "scenario_digest",
     "smoke_sweep",
     "clear_graph_cache",
@@ -663,48 +660,6 @@ def _worker_loop(
             result_pipe.send(("error", f"{type(exc).__name__}: {exc}"))
         else:
             result_pipe.send(("ok", result))
-
-
-# ----------------------------------------------------------------------
-# legacy orchestration shims (the spec path is repro.api.run_sweep_spec)
-# ----------------------------------------------------------------------
-def run_sweep(
-    scenarios: Iterable[str] | None = None,
-    sizes: Sequence[int] = (16, 32, 48),
-    seeds: Sequence[int] = (0,),
-    workers: int | None = None,
-) -> list[dict]:
-    """Deprecated shim: run every (scenario, size, seed) cell in-memory.
-
-    .. deprecated::
-        Build a :class:`repro.api.SweepSpec` and call
-        :func:`repro.api.run_sweep_spec` instead — same rows, plus JSON
-        specs, persistent stores, and resume.  This shim constructs the
-        equivalent spec and returns the identical tidy table.
-    """
-    warnings.warn(
-        "repro.sim.experiments.run_sweep is deprecated; build a "
-        "repro.api.SweepSpec and call repro.api.run_sweep_spec instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import SweepSpec, run_sweep_spec
-
-    # Preserve the historical contract exactly: an empty cross product
-    # (empty scenario list, sizes, or seeds) is an empty table, where the
-    # stricter SweepSpec validation would reject it.
-    names = tuple(scenarios) if scenarios is not None else None
-    sizes = tuple(sizes)
-    seeds = tuple(seeds)
-    if (names is not None and not names) or not sizes or not seeds:
-        return []
-    spec = SweepSpec(
-        scenarios=names,
-        sizes=sizes,
-        seeds=seeds,
-        workers=workers if workers is not None else 1,
-    )
-    return run_sweep_spec(spec)
 
 
 def smoke_sweep(workers: int | None = None) -> list[dict]:

@@ -74,15 +74,6 @@ class FaultModel:
     reproducible across worker counts and shards.
     """
 
-    #: Batch-kernel gate (see :func:`repro.sim.kernels.kernel_for`).  Fault
-    #: draws are keyed per *delivered* message in delivery order, and crash
-    #: restarts rebind algorithm instances mid-run — both interleave with
-    #: per-node stepping in ways the batch path does not reproduce, so the
-    #: engines keep the scalar path for any active fault plane.  A future
-    #: plane whose draws are provably step-order-independent may override
-    #: this to opt back in.
-    batch_safe = False
-
     def __init__(
         self,
         *,

@@ -169,8 +169,9 @@ def kernel_for(runner) -> BatchKernel | None:
     * the active backend enables kernels (``scalar`` disables them);
     * plain :class:`Metrics` only — tracing subclasses take per-event
       hooks the batch path does not emit;
-    * no fault plane (fault draws happen per delivered message; see
-      :attr:`repro.sim.faults.FaultModel.batch_safe`);
+    * no fault plane (fault draws happen per delivered message, and crash
+      restarts rebind algorithm instances mid-run — neither is reproduced
+      by the batch path);
     * ``edge_capacity == 1`` (kernels skip per-port capacity counters);
     * a homogeneous algorithm roster whose class opts in via
       ``batch_kernel`` (which may itself return ``None``).
@@ -179,8 +180,7 @@ def kernel_for(runner) -> BatchKernel | None:
         return None
     if type(runner.metrics) is not Metrics:
         return None
-    plane = runner.faults
-    if plane is not None and not getattr(plane, "batch_safe", False):
+    if runner.faults is not None:
         return None
     if runner.edge_capacity != 1:
         return None

@@ -45,8 +45,9 @@ class Metrics:
         self.messages_duplicated: int = 0
         self.nodes_crashed: int = 0
         self.recoveries: int = 0
-        # In-phase round of the currently executing runner; set by Runner so
-        # subclasses can timestamp individual sends (see repro.core.apsp).
+        # In-phase real round of the currently executing runner (megaround
+        # index times round_width); set by the engines so subclasses can
+        # timestamp individual sends (see repro.core.apsp).
         self.current_round: int = 0
 
     # ------------------------------------------------------------------

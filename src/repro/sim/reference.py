@@ -151,7 +151,7 @@ class ReferenceRunner:
                 raise SimulationError(f"exceeded max_rounds={self.max_rounds}")
             last_round = r
 
-            self.metrics.current_round = r
+            self.metrics.current_round = r * self.round_width
             self._outbox = []
             self._edge_load = Counter()
             for u in sorted(awake, key=repr):

@@ -56,6 +56,15 @@ objects.
 * awake nodes step in node-index order (graph insertion order), which is
   deterministic.
 
+One message plane, two schedulers: :class:`~repro.sim.events.EventRunner`
+subclasses :class:`Runner` and runs the same loop (:meth:`Runner._execute`)
+on the same pooled state.  The two differ only in where an accepted message
+goes — straight into the receiver's inbox here, into the arrival slot of
+``t + delay`` there — and so in which time the heap yields next.  Faulted
+and event-scheduled sends share one per-message path (fault draws and the
+sleeping-model delivered-at-send-time check); fault-free synchronous
+delivery keeps its inline fast paths.
+
 The :class:`Inbox` handed to ``on_round`` is a *view* over the runner's
 reusable buffers: it iterates as ``(sender, payload)`` pairs exactly like
 the old list-of-tuples mailbox, but it is valid **only during that
@@ -395,6 +404,12 @@ class Runner:
         max_rounds: int = 10_000_000,
         faults=None,
     ) -> None:
+        self._setup(graph, algorithms, mode, round_width, edge_capacity, metrics,
+                    max_rounds, faults)
+
+    def _setup(self, graph, algorithms, mode, round_width, edge_capacity, metrics,
+               max_rounds, faults) -> None:
+        """The constructor body both engines share."""
         indexed = graph if isinstance(graph, IndexedGraph) else IndexedGraph.of(graph)
         try:
             algorithms_by_index = [algorithms[label] for label in indexed.labels]
@@ -468,10 +483,28 @@ class Runner:
     # ------------------------------------------------------------------
     def run(self) -> Metrics:
         """Simulate until quiescence; return the (possibly shared) metrics."""
+        self._execute()
+        return self.metrics
+
+    def _execute(self, latency=None, max_time=None, message_budget=None):
+        """The engine loop of both schedulers; returns ``(stop_reason, final_time)``.
+
+        ``latency is None`` is the synchronous scheduler: an accepted
+        message goes straight into its receiver's inbox, readable next
+        round.  A :class:`~repro.sim.events.LatencyModel` is the event
+        scheduler of :class:`~repro.sim.events.EventRunner`: a message
+        accepted at time ``t`` over port ``p`` waits in the arrival slot
+        of ``t + delay(p)`` and reaches the inbox at the top of that time,
+        after its crashes and before its restarts and wakes.  Everything
+        else — crash/restart, the stale-wake filter, the node step, the
+        fault draws and the metering — is this one loop.  ``max_time``
+        and ``message_budget`` are the event scheduler's graceful stops.
+        """
         indexed = self.indexed
         n = indexed.num_nodes
         labels = indexed.labels
         nbr = indexed.nbr
+        indptr = indexed.indptr
         port_src = indexed.port_src_labels()
         bviews = None  # indexed.broadcast_views(), fetched on first broadcast
         contexts = self._contexts_by_index
@@ -492,6 +525,7 @@ class Runner:
         touched = self._touched
         metrics = self.metrics
         max_rounds = self.max_rounds
+        width = self.round_width
         sleeping = self.mode is Mode.SLEEPING
         # Bulk counter updates are only valid for a plain Metrics; subclasses
         # (TracingMetrics etc.) override the record_* hooks and get the
@@ -500,20 +534,33 @@ class Runner:
         # The per-message slow path (tracing metrics) records full label
         # pairs; the fast path never touches this table.
         port_pairs = None if fast else indexed.port_pairs()
+        # Event scheduler: arrival time -> (unicasts, broadcasts), each a
+        # list of (port_id, payload) in global send order.  Within a time,
+        # unicasts precede broadcasts, exactly like the synchronous
+        # delivery phase, which is what makes unit latency identical to it.
+        arrivals: dict[int, tuple[list, list]] | None = None
+        uniform = delays = None
+        if latency is not None:
+            arrivals = {}
+            uniform = latency.uniform_delay
+            if uniform is None:
+                delays = latency.port_delays(indexed)
         # Batch-kernel dispatch: when every gate passes (numpy backend,
         # plain Metrics, no fault plane, capacity 1, homogeneous roster
-        # that opts in) the per-round node loop below is replaced by one
-        # kernel call over the whole awake set.  Delivery, scheduling and
-        # all metering stay on the exact scalar code path, which is what
-        # keeps kernel runs byte-identical (see repro.sim.kernels).
-        kernel = kernel_for(self)
+        # that opts in, unit latency) the per-round node loop below is
+        # replaced by one kernel call over the whole awake set.  Delivery,
+        # scheduling and all metering stay on the exact scalar code path,
+        # which is what keeps kernel runs byte-identical (see
+        # repro.sim.kernels).
+        kernel = kernel_for(self) if latency is None or uniform == 1 else None
 
         # Wake schedule: per-round buckets of node indices plus a heap of the
         # *distinct* pending rounds.  A round enters the heap exactly once,
         # when its bucket is created, so the main loop pops straight from one
-        # active round to the next — empty stretches cost nothing.  Stale
-        # bucket entries (nodes rescheduled elsewhere) are filtered against
-        # ``next_wake`` at pop time, exactly like the old ring scheduler.
+        # active round to the next — empty stretches cost nothing.  Every
+        # time in the heap owns a bucket (possibly empty: an arrival or a
+        # fault event).  Stale bucket entries (nodes rescheduled elsewhere)
+        # are filtered against ``next_wake`` at pop time.
         heap: list[int] = []
         buckets: dict[int, list[int]] = {}
         next_wake = [0] * n
@@ -545,7 +592,11 @@ class Runner:
                     if when not in buckets:
                         buckets[when] = []
                         heappush(heap, when)
+        # Faulted or event-scheduled sends take the per-message path.
+        per_message = plane is not None or arrivals is not None
         last_round = -1
+        messages_sent = 0
+        stop_reason: str | None = None
         # Fast-path metric logs: per-round counter updates are deferred to
         # batched folds (Counter.update and dict increments have per-call
         # overhead that dominates sparse rounds).  The logs fold mid-run
@@ -557,14 +608,15 @@ class Runner:
 
         while heap:
             r = heappop(heap)
+            if max_time is not None and r > max_time:
+                stop_reason = "max_time"
+                break
             bucket = buckets.pop(r)
             if crash_at is not None:
                 # Crash events fire before anything else at their round: the
                 # victim does not step, its buffered inbox is destroyed (the
                 # messages were metered as delivered sends — they vanish
-                # into ``messages_dropped`` only).  Restarts rebind a fresh
-                # copy of the node's initial algorithm and book it to wake
-                # *this* round, as if it had just joined the network.
+                # into ``messages_dropped`` only).
                 for i in crash_at.get(r, ()):
                     crashed[i] = True
                     metrics.record_crash(labels[i])
@@ -573,6 +625,34 @@ class Runner:
                         metrics.messages_dropped += len(box.senders)
                         box.senders.clear()
                         box.payloads.clear()
+            if arrivals is not None:
+                slot = arrivals.pop(r, None)
+                if slot is not None:
+                    # Arrivals reach the inbox now; a dead receiver loses
+                    # them, a halted one discards them silently, and CONGEST
+                    # receivers wake on them at this very time.
+                    for queue in slot:
+                        for port_id, payload in queue:
+                            dst_i = nbr[port_id]
+                            if crashed is not None and crashed[dst_i]:
+                                metrics.messages_dropped += 1
+                                continue
+                            if contexts[dst_i]._halted:
+                                continue
+                            box = inboxes[dst_i]
+                            box.senders.append(port_src[port_id])
+                            box.payloads.append(payload)
+                            if not sleeping:
+                                cur = next_wake[dst_i]
+                                if cur == _NONE or cur > r:
+                                    next_wake[dst_i] = r
+                                    bucket.append(dst_i)
+            if restart_at:
+                # Restarts rebind a fresh copy of the node's initial
+                # algorithm and book it to wake *this* round, as if it had
+                # just joined the network.  They fire after arrivals, so a
+                # node restarting at ``r`` misses what lands at ``r`` — sent
+                # while it was down.
                 for i in restart_at.get(r, ()):
                     fresh = copy.deepcopy(self._restart_snapshots[i])
                     algorithms[i] = fresh
@@ -609,8 +689,9 @@ class Runner:
             # --- node steps (deterministic node-index order) ------------
             if not fast:
                 # Only the per-event slow path (metric subclasses) reads the
-                # in-phase round stamp.
-                metrics.current_round = r
+                # in-phase stamp, in real rounds: a megaround spans
+                # ``round_width`` of them.
+                metrics.current_round = r * width
             nxt_round = r + 1
             codes = None
             if kernel is not None:
@@ -680,33 +761,44 @@ class Runner:
                 wake_log.extend(awake)
             else:
                 for i in awake:
-                    metrics.record_awake(labels[i], self.round_width)
+                    metrics.record_awake(labels[i], width)
 
             # --- delivery -------------------------------------------------
             if out_ports or bcast_src:
                 if bcast_src and bviews is None:
                     bviews = indexed.broadcast_views()
-                if plane is not None:
-                    # Faulted delivery: one per-message path for both modes.
-                    # Draws are keyed by (seed, kind, edge, send round,
-                    # occurrence index) with occurrences counted in send
-                    # order — the same order the event engine resolves at
-                    # send time — so unit-latency faulted runs agree across
-                    # engines just like fault-free ones.
-                    indptr = indexed.indptr
+                if message_budget is not None:
+                    messages_sent += len(out_ports) + sum(
+                        indptr[src_i + 1] - indptr[src_i] for src_i in bcast_src
+                    )
+                    if messages_sent >= message_budget:
+                        # The in-flight batch still resolves whole: budgets
+                        # bound work, they do not tear messages.
+                        stop_reason = "message_budget"
+                if per_message:
+                    # One per-message path for faults and for the event
+                    # scheduler, in both modes.  Draws are keyed by (seed,
+                    # kind, edge, send round, occurrence index) with
+                    # occurrences counted in send order, and drop/dup are
+                    # decided here, at send time, on the sending side of
+                    # the link (see DESIGN.md).
                     occ: dict[int, int] = {}
                     nxt_bucket = buckets.get(nxt_round)
 
-                    def deliver(port_id: int, src: object, payload: object) -> None:
+                    def deliver(port_id: int, src: object, payload: object, kind: int) -> None:
                         nonlocal nxt_bucket
                         dst_i = nbr[port_id]
                         dst = labels[dst_i]
-                        k = occ.get(port_id, 0)
-                        occ[port_id] = k + 1
-                        if plane.drop_message(src, dst, r, k) or crashed[dst_i]:
-                            metrics.record_dropped(src, dst)
-                            return
+                        dup = False
+                        if plane is not None:
+                            k = occ.get(port_id, 0)
+                            occ[port_id] = k + 1
+                            if plane.drop_message(src, dst, r, k) or crashed[dst_i]:
+                                metrics.record_dropped(src, dst)
+                                return
                         if sleeping:
+                            # A message reaches its target only if the
+                            # target was awake when it was sent (Sec 1.2).
                             delivered = (
                                 awake_stamp[dst_i] == r and not contexts[dst_i]._halted
                             )
@@ -717,16 +809,31 @@ class Runner:
                             metrics.record_send(src, dst, True)
                             if contexts[dst_i]._halted:
                                 return
+                        if plane is not None and plane.duplicate_message(src, dst, r, k):
+                            # The duplicate lands right after the original
+                            # (same time) — a fault artifact outside the
+                            # capacity and message-complexity metering.
+                            dup = True
+                            metrics.record_duplicated(src, dst)
+                        if arrivals is not None:
+                            arrival = r + (uniform or delays[port_id])
+                            slot = arrivals.get(arrival)
+                            if slot is None:
+                                slot = arrivals[arrival] = ([], [])
+                                if arrival not in buckets:
+                                    buckets[arrival] = []
+                                    heappush(heap, arrival)
+                            queue = slot[kind]
+                            queue.append((port_id, payload))
+                            if dup:
+                                queue.append((port_id, payload))
+                            return
                         box = inboxes[dst_i]
                         box.senders.append(src)
                         box.payloads.append(payload)
-                        if plane.duplicate_message(src, dst, r, k):
-                            # The duplicate lands right after the original
-                            # (same round) — a fault artifact outside the
-                            # capacity and message-complexity metering.
+                        if dup:
                             box.senders.append(src)
                             box.payloads.append(payload)
-                            metrics.record_duplicated(src, dst)
                         if not sleeping:
                             cur = next_wake[dst_i]
                             if cur == _NONE or cur > nxt_round:
@@ -738,11 +845,11 @@ class Runner:
                                     nxt_bucket.append(dst_i)
 
                     for port_id, payload in zip(out_ports, out_payloads):
-                        deliver(port_id, port_src[port_id], payload)
+                        deliver(port_id, port_src[port_id], payload, 0)
                     for src_i, payload in zip(bcast_src, bcast_payloads):
                         sender = labels[src_i]
                         for port_id in range(indptr[src_i], indptr[src_i + 1]):
-                            deliver(port_id, sender, payload)
+                            deliver(port_id, sender, payload, 1)
                 elif sleeping:
                     # A message reaches its target only if the target was
                     # awake in the round it was sent (Sec 1.2).
@@ -788,7 +895,6 @@ class Runner:
                                 box = inboxes[dst_i]
                                 box.senders.append(src)
                                 box.payloads.append(payload)
-                        indptr = indexed.indptr
                         for src_i, payload in zip(bcast_src, bcast_payloads):
                             sender = labels[src_i]
                             for port_id in range(indptr[src_i], indptr[src_i + 1]):
@@ -835,7 +941,6 @@ class Runner:
                         if fast:
                             metrics.total_messages += len(dsts)
                         else:
-                            indptr = indexed.indptr
                             for port_id in range(indptr[src_i], indptr[src_i + 1]):
                                 metrics.record_send(
                                     sender, port_pairs[port_id][1], True
@@ -862,18 +967,18 @@ class Runner:
                 for port_id in touched:
                     edge_load[port_id] = 0
                 touched.clear()
+                if stop_reason is not None:
+                    break
                 if len(port_log) >= _LOG_FOLD:
                     _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
                     port_log.clear()
                 if len(bcast_log) >= _LOG_FOLD:
-                    _fold_bcasts(
-                        metrics.edge_messages, bcast_log, labels, nbr, indexed.indptr
-                    )
+                    _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
                     bcast_log.clear()
             # wake_log grows on message-free rounds too, so its bound check
             # cannot hide inside the delivery block.
             if len(wake_log) >= _LOG_FOLD:
-                _fold_wakes(metrics.awake_rounds, wake_log, labels, self.round_width)
+                _fold_wakes(metrics.awake_rounds, wake_log, labels, width)
                 wake_log.clear()
 
         if kernel is not None:
@@ -881,18 +986,17 @@ class Runner:
             # it back here — drivers read results off the instances.
             kernel.finalize()
         if fast:
-            # Final fold of the deferred logs (see _fold_* below): counting
+            # Final fold of the deferred logs (see _fold_* above): counting
             # happens in C over plain integer columns, and label pairs are
             # materialized once per *distinct* port/source, not per message.
             if wake_log:
-                _fold_wakes(metrics.awake_rounds, wake_log, labels, self.round_width)
+                _fold_wakes(metrics.awake_rounds, wake_log, labels, width)
             if port_log:
                 _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
             if bcast_log:
-                _fold_bcasts(
-                    metrics.edge_messages, bcast_log, labels, nbr, indexed.indptr
-                )
-        self.metrics.record_rounds((last_round + 1) * self.round_width)
+                _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
+        final_time = (last_round + 1) * width
+        metrics.record_rounds(final_time)
         if indexed._engine_pool is None:
             # Park the state for the next runner over this view.  Drop the
             # backreferences first: the pool outlives this runner (it hangs
@@ -902,4 +1006,4 @@ class Runner:
             for ctx in contexts:
                 ctx._runner = None
             indexed._engine_pool = (contexts, inboxes, self._edge_load)
-        return self.metrics
+        return stop_reason, final_time

@@ -32,6 +32,8 @@ class TracingMetrics(Metrics):
         self.edge_timeline: Counter = Counter()
 
     def _now(self) -> int:
+        # Both terms count real rounds: the engines stamp ``current_round``
+        # as the megaround index times ``round_width``.
         return self.rounds + self.current_round
 
     def record_send(self, src: object, dst: object, delivered: bool) -> None:
@@ -42,7 +44,11 @@ class TracingMetrics(Metrics):
 
     def record_awake(self, node: object, rounds: int = 1) -> None:
         super().record_awake(node, rounds)
-        self.awake_by_round[self._now()] += 1
+        # A megaround books ``rounds`` real rounds of energy; each lands in
+        # the timeline, so the profile sums to ``awake_rounds``.
+        now = self._now()
+        for r in range(now, now + rounds):
+            self.awake_by_round[r] += 1
 
     # -- analysis helpers -------------------------------------------------
     def peak_round_load(self) -> tuple[int, int]:

@@ -95,14 +95,44 @@ class Broadcaster(NodeAlgorithm):
             ctx.broadcast(self.node)
 
 
-def run_both(graph, make_algorithms, mode, **kwargs):
+def run_both(graph, make_algorithms, mode, metrics_type=Metrics, **kwargs):
     """The same protocol through Runner and unit-latency EventRunner."""
     out = []
     for engine in (Runner, EventRunner):
-        metrics = Metrics()
+        metrics = metrics_type()
         engine(graph, make_algorithms(), mode, metrics=metrics, **kwargs).run()
         out.append(metrics)
     return out
+
+
+#: Extra ``run_both`` inputs: the fault plane and the per-event metering
+#: path (metric subclasses) on top of a plain run.
+VARIANTS = {
+    "drop": {"faults": "drop:0.2"},
+    "dup": {"faults": "dup:0.2"},
+    "crash-restart": {"faults": "crash:2@1+restart:2"},
+    "traced": {"metrics_type": TracingMetrics},
+    "traced-faulted": {
+        "metrics_type": TracingMetrics,
+        "faults": "drop:0.1+dup:0.1+crash:2@1+restart:2",
+    },
+}
+
+
+#: The same extras under the sleeping model, for CONGEST protocols.
+SLEEPING_VARIANTS = {
+    f"sleeping-{name}": {"mode": Mode.SLEEPING, **extra}
+    for name, extra in {"plain": {}, **VARIANTS}.items()
+}
+
+
+def parity_inputs(seeds, variants=VARIANTS, variant_seeds=(0, 1)):
+    """``(seed, extra)`` inputs: every seed plain, then each variant."""
+    cases = [pytest.param(seed, {}, id=str(seed)) for seed in seeds]
+    for seed in variant_seeds:
+        for name, extra in variants.items():
+            cases.append(pytest.param(seed, extra, id=f"{seed}-{name}"))
+    return cases
 
 
 def assert_identical(sync: Metrics, event: Metrics) -> None:
@@ -243,27 +273,31 @@ def test_congest_parity(seed):
     assert_identical(sync, event)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_sleeping_parity(seed):
+@pytest.mark.parametrize("seed, extra", parity_inputs(range(6), variant_seeds=(2, 3)))
+def test_sleeping_parity(seed, extra):
     g = graphs.random_connected_graph(5 + seed * 4, extra_edge_prob=0.15, seed=seed)
     sync, event = run_both(
-        g, lambda: {u: SleepyBeacon(u, seed) for u in g.nodes()}, Mode.SLEEPING
+        g, lambda: {u: SleepyBeacon(u, seed) for u in g.nodes()}, Mode.SLEEPING,
+        **extra,
     )
     assert_identical(sync, event)
     assert event.lost_messages > 0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_broadcast_parity(seed):
+@pytest.mark.parametrize(
+    "seed, extra", parity_inputs([0, 1, 2], {**VARIANTS, **SLEEPING_VARIANTS})
+)
+def test_broadcast_parity(seed, extra):
     g = graphs.random_connected_graph(18, extra_edge_prob=0.25, seed=seed)
     sync, event = run_both(
-        g, lambda: {u: Broadcaster(u, seed) for u in g.nodes()}, Mode.CONGEST
+        g, lambda: {u: Broadcaster(u, seed) for u in g.nodes()},
+        **{"mode": Mode.CONGEST, **extra},
     )
     assert_identical(sync, event)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_megaround_parity(seed):
+@pytest.mark.parametrize("seed, extra", parity_inputs([0, 1]))
+def test_megaround_parity(seed, extra):
     g = graphs.random_connected_graph(14, extra_edge_prob=0.2, seed=seed)
     sync, event = run_both(
         g,
@@ -271,6 +305,7 @@ def test_megaround_parity(seed):
         Mode.CONGEST,
         round_width=3,
         edge_capacity=3,
+        **extra,
     )
     assert_identical(sync, event)
 

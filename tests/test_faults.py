@@ -12,6 +12,7 @@ duration-bounded scenarios.
 """
 
 import json
+import random
 
 import pytest
 
@@ -27,7 +28,11 @@ from repro.graphs import INFINITY, generators
 from repro.sim import (
     FaultModel,
     Metrics,
+    Mode,
+    NodeAlgorithm,
+    TracingMetrics,
     canonical_fault,
+    make_runner,
     parse_fault_model,
     simulation_engine,
 )
@@ -166,23 +171,87 @@ def test_crash_plan_is_label_set_deterministic_and_staggered():
 # ----------------------------------------------------------------------
 # engines: identical faulted executions, correct metering, restarts
 # ----------------------------------------------------------------------
-def _bellman_ford_under(fault, engine, seed=3):
+def _bellman_ford_under(fault, engine, seed=3, metrics=None):
     from repro.baselines import run_bellman_ford
 
     graph = generators.make_family("er", 16, 9, seed=seed)
-    metrics = Metrics()
+    metrics = Metrics() if metrics is None else metrics
     with simulation_engine(engine, "unit", seed=seed, faults=fault):
         distances = run_bellman_ford(graph, next(iter(graph.nodes())), metrics=metrics)
     return distances, metrics
 
 
-@pytest.mark.parametrize("fault", [
-    "drop:0.1", "dup:0.2", "drop:0.1+dup:0.05",
-    "crash:2@2+restart:3", "crash:1@4",
+class _SleepyChatter(NodeAlgorithm):
+    """Sleeping-model traffic on seeded schedules: unicasts or broadcasts."""
+
+    def __init__(self, node, seed, broadcast):
+        self.rng = random.Random(f"{seed}|{node}")
+        self.broadcast = broadcast
+        self.budget = 8
+        self.heard = []
+
+    def on_round(self, ctx, inbox):
+        self.heard.append((ctx.round, sorted(inbox, key=repr)))
+        self.budget -= 1
+        if self.budget <= 0:
+            ctx.halt()
+            return
+        if self.broadcast:
+            if self.rng.random() < 0.6:
+                ctx.broadcast(self.budget)
+        else:
+            for v in ctx.neighbors:
+                if self.rng.random() < 0.5:
+                    ctx.send(v, self.budget)
+        ctx.wake_at(ctx.round + 1 + self.rng.randrange(3))
+
+
+def _sleeping_chatter_under(fault, engine, broadcast, metrics, seed=3):
+    graph = generators.make_family("er", 16, 9, seed=seed)
+    algorithms = {u: _SleepyChatter(u, seed, broadcast) for u in graph.nodes()}
+    with simulation_engine(engine, "unit", seed=seed, faults=fault):
+        make_runner(graph, algorithms, Mode.SLEEPING, metrics=metrics).run()
+    return {u: alg.heard for u, alg in algorithms.items()}
+
+
+def _workload_under(workload, fault, engine):
+    """``(outputs, metrics)`` of one parity workload under ``fault``.
+
+    A traced workload's outputs include the tracer's timelines, so the
+    per-event metering path is compared too.
+    """
+    traced = workload.endswith("-traced")
+    metrics = TracingMetrics() if traced else Metrics()
+    if workload.startswith("bellman-ford"):
+        outputs, _ = _bellman_ford_under(fault, engine, metrics=metrics)
+    else:
+        outputs = _sleeping_chatter_under(
+            fault, engine, workload.startswith("sleeping-broadcast"), metrics
+        )
+    if traced:
+        outputs = (outputs, metrics.messages_by_round, metrics.awake_by_round,
+                   metrics.edge_timeline)
+    return outputs, metrics
+
+
+_PARITY_WORKLOADS = (
+    "sleeping-unicast", "sleeping-broadcast", "sleeping-broadcast-traced",
+    "bellman-ford-traced",
+)
+
+
+@pytest.mark.parametrize("fault, workload", [
+    *(pytest.param(fault, "bellman-ford", id=fault) for fault in (
+        "drop:0.1", "dup:0.2", "drop:0.1+dup:0.05",
+        "crash:2@2+restart:3", "crash:1@4",
+    )),
+    *((fault, workload)
+      for fault in ("drop:0.1", "dup:0.2", "crash:2@1+restart:2")
+      for workload in _PARITY_WORKLOADS),
 ])
-def test_faulted_runs_byte_identical_across_engines(fault):
-    sync_dist, sync_metrics = _bellman_ford_under(fault, "round")
-    event_dist, event_metrics = _bellman_ford_under(fault, "event")
+def test_faulted_runs_byte_identical_across_engines(fault, workload):
+    sync_dist, sync_metrics = _workload_under(workload, fault, "round")
+    event_dist, event_metrics = _workload_under(workload, fault, "event")
     assert event_dist == sync_dist
     assert event_metrics.to_dict() == sync_metrics.to_dict()
 

@@ -18,7 +18,7 @@ from repro.graphs import (
     hypercube_graph,
     random_geometric_graph,
 )
-from repro.sim import Mode, Runner, TracingMetrics
+from repro.sim import EventRunner, Mode, NodeAlgorithm, Runner, TracingMetrics
 from repro.core.bfs import run_bfs
 
 
@@ -150,6 +150,31 @@ class TestTracingMetrics:
         t = TracingMetrics()
         assert t.peak_round_load() == (0, 0)
         assert t.awake_fraction_profile(10) == [0.0] * 10
+
+    @pytest.mark.parametrize("mode", [Mode.CONGEST, Mode.SLEEPING])
+    @pytest.mark.parametrize("engine", [Runner, EventRunner])
+    def test_megaround_timeline_is_in_real_rounds(self, engine, mode):
+        # Two phases of 3 megarounds at width 3 share one tracer.  Each
+        # phase broadcasts in its first two megarounds, so its messages sit
+        # at real rounds 0 and 3 of the phase; the second phase starts
+        # after the first one's 9 real rounds.
+        class TwoWaves(NodeAlgorithm):
+            def on_round(self, ctx, inbox):
+                if ctx.round < 2:
+                    ctx.broadcast(ctx.round)
+                else:
+                    ctx.halt()
+
+        g = graphs.path_graph(3)
+        t = TracingMetrics()
+        for _ in range(2):
+            engine(g, {u: TwoWaves() for u in g.nodes()}, mode,
+                   round_width=3, edge_capacity=3, metrics=t).run()
+        assert t.rounds == 18
+        assert sorted(t.messages_by_round) == [0, 3, 9, 12]
+        # Every node is awake for every real round of both phases.
+        assert t.awake_by_round == {r: 3 for r in range(18)}
+        assert sum(t.awake_by_round.values()) == sum(t.awake_rounds.values())
 
 
 class TestValidators:

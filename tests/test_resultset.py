@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import ResultSet, SweepSpec, cell_key, run_sweep_spec
 from repro.sim import Metrics
-from repro.sim.experiments import ROW_FIELDS, run_sweep
+from repro.sim.experiments import ROW_FIELDS
 
 SCENARIOS = ("bfs/grid", "bellman-ford/er")
 SPEC = SweepSpec(scenarios=SCENARIOS, sizes=(9, 16), seeds=(0, 1))
@@ -266,32 +266,3 @@ class TestProgressCallback:
         seen.clear()
         run_sweep_spec(spec, progress=lambda done, total, row: seen.append((done, total)))
         assert seen == [(3, 4), (4, 4)]
-
-
-class TestLegacyShim:
-    def test_run_sweep_is_deprecated_but_identical(self):
-        spec_rows = run_sweep_spec(SPEC)
-        with pytest.deprecated_call():
-            legacy = run_sweep(list(SCENARIOS), sizes=(9, 16), seeds=(0, 1))
-        assert legacy == spec_rows
-
-    def test_shim_preserves_empty_cross_product_contract(self):
-        # The pre-spec run_sweep returned [] for an empty cross product;
-        # the shim must not surface SweepSpec's stricter validation.
-        with pytest.deprecated_call():
-            assert run_sweep([], sizes=(8,)) == []
-        with pytest.deprecated_call():
-            assert run_sweep(["bfs/grid"], sizes=()) == []
-        with pytest.deprecated_call():
-            assert run_sweep(["bfs/grid"], sizes=(8,), seeds=()) == []
-        with pytest.deprecated_call():
-            assert run_sweep(iter(["bfs/grid"]), sizes=(9,)) != []  # generators work
-
-    @pytest.mark.parametrize("workers", [None, 3])
-    def test_shim_worker_counts_match_spec_path(self, workers):
-        with pytest.deprecated_call():
-            legacy = run_sweep(list(SCENARIOS), sizes=(9, 16), seeds=(0, 1),
-                               workers=workers)
-        spec = SweepSpec(scenarios=SCENARIOS, sizes=(9, 16), seeds=(0, 1),
-                         workers=workers or 1)
-        assert legacy == run_sweep_spec(spec)
