@@ -243,7 +243,6 @@ def drive_bfs(graph, seed: int, metrics) -> dict | None:
     return _faulted_distance_verdict(graph, observed, source, "bfs", weighted=False)
 
 
-# repro: lint-ok[F301] deterministic per instance — fragments merge by edge id
 def drive_boruvka(graph, seed: int, metrics) -> dict:
     """Distributed Boruvka forest (Thm 2.2), vs sequential Kruskal weight.
 
@@ -343,7 +342,6 @@ def drive_labeled_bfs(graph, seed: int, metrics, num_sources: int = 3) -> None:
             raise DriverError(f"labeled-bfs: parent edge {u!r}-{parent!r} missing")
 
 
-# repro: lint-ok[F301] deterministic per instance — the seed varies the graph only
 def drive_decomposition(graph, seed: int, metrics, separation: int = 2) -> dict:
     """k-separated decomposition (Thm 3.10), vs the structural validator.
 
@@ -367,7 +365,6 @@ def drive_decomposition(graph, seed: int, metrics, separation: int = 2) -> dict:
     }
 
 
-# repro: lint-ok[F301] deterministic per instance — the seed varies the graph only
 def drive_sparse_cover(graph, seed: int, metrics, d: int = 2) -> dict:
     """Sparse d-cover (Thm 3.11), vs the Definition 3.2 validator.
 
@@ -389,7 +386,6 @@ def drive_sparse_cover(graph, seed: int, metrics, d: int = 2) -> dict:
     }
 
 
-# repro: lint-ok[F301] deterministic per instance — the seed varies the graph only
 def drive_layered_cover(graph, seed: int, metrics, base: int = 4) -> dict:
     """Layered sparse cover (Def 3.4), vs the Definition 3.4 validator.
 

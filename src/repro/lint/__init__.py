@@ -4,19 +4,18 @@
 that every byte-identity guarantee rests on: seeded draws only, no global
 RNG or wall-clock in measured paths, sorted iteration wherever order can
 reach a row or digest, JSON-safe scenario params, and the Algorithm/driver
-contracts of :mod:`repro.sim`.  The F rules go further: they build a
-whole-program model (:mod:`repro.lint.project`), run interprocedural
-seed/nondeterminism taint over it (:mod:`repro.lint.flow`), and check
-fork-boundary discipline across process spawns (:mod:`repro.lint.frules`).
-See :mod:`repro.lint.engine` for the rule engine and pragma syntax,
-:mod:`repro.lint.rules` for the per-file rule set, and
-``repro lint --list-rules`` for the live catalog.
+contracts of :mod:`repro.sim`.  Every rule is per-file: the D family
+(determinism) and the P family (protocol contracts).  Whether a driver's
+seed really reaches its output is a whole-program property, so it is
+checked by running the drivers, not by static analysis: see
+``tests/test_driver_catalog.py::TestSeedVariation``.  See
+:mod:`repro.lint.engine` for the rule engine and pragma syntax,
+:mod:`repro.lint.rules` for the rule set, :mod:`repro.lint.sarif` for
+``--output sarif``, and ``repro lint --list-rules`` for the live catalog.
 """
 
-from .cache import LintCache
 from .engine import (
     Finding,
-    FlowRule,
     PRAGMA_RULE_ID,
     Rule,
     SYNTAX_RULE_ID,
@@ -32,9 +31,7 @@ from .sarif import render_sarif
 __all__ = [
     "Finding",
     "Rule",
-    "FlowRule",
     "RULES",
-    "LintCache",
     "lint_source",
     "lint_file",
     "lint_paths",

@@ -15,10 +15,7 @@ fails the lint gate loudly instead of vanishing from the sweep catalog.
 
 from __future__ import annotations
 
-import ast
-from pathlib import Path
-
-from .engine import Finding, _analyze_source, _flow_findings
+from .engine import Finding, lint_file
 
 __all__ = ["RESOLVE_RULE_ID", "lint_plugins"]
 
@@ -26,38 +23,10 @@ __all__ = ["RESOLVE_RULE_ID", "lint_plugins"]
 RESOLVE_RULE_ID = "X200"
 
 
-def _library_context(exclude: set) -> list:
-    """``(path, source, tree)`` triples for the repro package itself.
-
-    Plugin drivers call into ``repro.*`` (runners, metrics, graph API);
-    feeding the library to the project model lets the flow pass resolve
-    those calls and read real summaries instead of treating every library
-    call as an unresolved edge.  Findings anchored in these files are
-    dropped by :func:`_flow_findings` — ``--plugins`` reports on the
-    plugins, not on the library they link against.
-    """
-    import repro
-
-    package_root = Path(repro.__file__).parent
-    triples = []
-    for path in sorted(package_root.rglob("*.py")):
-        if str(path.resolve()) in exclude:
-            continue
-        try:
-            source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source)
-        except (OSError, SyntaxError):
-            continue
-        triples.append((str(path), source, tree))
-    return triples
-
-
 def lint_plugins(
     *,
     select: tuple | None = None,
     ignore: tuple | None = None,
-    flow: bool = True,
-    stats: dict | None = None,
 ) -> tuple:
     """Lint every registered algorithm's source; ``(findings, checked)``.
 
@@ -68,11 +37,6 @@ def lint_plugins(
     returned ``checked`` list pairs each file with the specs it backs,
     as ``"path (algorithms: a, b)"`` strings, so the CLI can show which
     algorithms a finding implicates.
-
-    With ``flow`` on, all resolved driver files form one project and the
-    F rules run over it, with the repro package itself loaded as symbol
-    context — a plugin that launders its seed through a library helper is
-    still caught, but findings are only ever anchored in plugin files.
     """
     from ..api.algorithms import discover, list_algorithm_specs
 
@@ -108,26 +72,9 @@ def lint_plugins(
         for path in paths:
             sources.setdefault(path, []).append(spec.name)
     checked: list[str] = []
-    records: list[dict] = []
     for path in sorted(sources):
         names = ", ".join(sorted(sources[path]))
         checked.append(f"{path} (algorithms: {names})")
-        text = Path(path).read_text(encoding="utf-8")
-        record = _analyze_source(text, path, select, ignore)
-        findings.extend(record["findings"])
-        records.append(record)
-    if flow and records:
-        flow_stats: dict = {}
-        linted = {str(Path(r["path"]).resolve()) for r in records}
-        extra = _library_context(exclude=linted)
-        findings.extend(
-            _flow_findings(
-                records, select, ignore, extra_files=extra, stats=flow_stats
-            )
-        )
-        if stats is not None:
-            stats["flow"] = flow_stats
-    elif stats is not None:
-        stats["flow"] = None
+        findings.extend(lint_file(path, select=select, ignore=ignore))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings, checked

@@ -338,8 +338,9 @@ class UnsortedSetIteration(Rule):
     severity = "warning"
     summary = (
         "iterating a set into ordered output (sends, appends, heap pushes, "
-        "joins) — set order is hash order, which varies per process for "
-        "str/tuple elements; wrap the set in sorted(...)"
+        "joins) — set order depends on insertion history, and on the "
+        "per-process hash seed for str/bytes elements or containers of "
+        "them; wrap the set in sorted(...)"
     )
     example_bad = (
         "def emit_rows(cells, rows):\n"
@@ -1120,11 +1121,6 @@ class BatchSharedMutation(Rule):
                         )
 
 
-# The F rules live in repro.lint.frules; importing them here (after every
-# helper they borrow is defined) keeps RULES the single registry the
-# engine, CLI, and fixture suite consume.
-from .frules import FLOW_RULES  # noqa: E402
-
 #: Every registered rule, id-sorted; the engine and CLI consume this.
 RULES = sorted(
     (
@@ -1141,7 +1137,6 @@ RULES = sorted(
         UnjsonScenarioParams,
         UndeclaredQualityColumn,
         BatchSharedMutation,
-        *FLOW_RULES,
     ),
     key=lambda rule: rule.id,
 )

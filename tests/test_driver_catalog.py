@@ -8,8 +8,9 @@ This file covers the catalog-growth contract:
 * every newly registered driver runs — self-verifying against its
   sequential oracle/validator — across at least three graph families
   (tree, grid, random-connected);
-* seeds actually vary the run: distinct seeds sample distinct sources even
-  on unweighted families (the silent-corruption bug where every
+* seeds actually vary the run: on one fixed instance, every registered
+  driver outside :data:`SEED_INVARIANT` gives more than one distinct
+  output across seeds (the silent-corruption bug where every
   ``(scenario, n, seed)`` cell recomputed the identical run);
 * resume keys carry the scenario-definition digest, so a store written
   under old params never silently satisfies a sweep under new ones.
@@ -23,12 +24,14 @@ from repro.api import (
     AlgorithmSpec,
     ResultSet,
     SweepSpec,
+    algorithms,
     get_algorithm_spec,
     list_algorithm_specs,
+    register_algorithm_spec,
     run_sweep_spec,
 )
 from repro.graphs import generators
-from repro.sim import experiments
+from repro.sim import Metrics, experiments
 from repro.sim.experiments import (
     ROW_FIELDS,
     Scenario,
@@ -55,6 +58,13 @@ CATALOG_CASES = {
     "energy-bfs-scratch": (1, 12),
     "energy-cssp": (3, 10),
 }
+
+#: Algorithms whose output is the same for every seed on a fixed instance:
+#: deterministic per instance, the seed varies only the graph.
+SEED_INVARIANT = frozenset({"boruvka", "decomposition", "sparse-cover", "layered-cover"})
+
+#: The seed axis the probe sweeps over one fixed instance.
+PROBE_SEEDS = range(6)
 
 
 @pytest.fixture
@@ -222,8 +232,46 @@ class TestCatalogDifferential:
         assert sorted(tuple(row)[len(ROW_FIELDS):]) == list(tuple(row)[len(ROW_FIELDS):])
 
 
+def seed_probe_scenario(algorithm: str) -> Scenario:
+    """The first registered unit-latency, fault-free scenario of ``algorithm``."""
+    for name in experiments.list_scenarios():
+        scenario = experiments.get_scenario(name)
+        if (
+            scenario.algorithm == algorithm
+            and scenario.latency_model == "unit"
+            and scenario.fault_model == "none"
+            and scenario.max_time is None
+            and scenario.message_budget is None
+        ):
+            return scenario
+    raise AssertionError(f"no unit-latency, fault-free scenario runs {algorithm!r}")
+
+
+def distinct_seed_outputs(scenario: Scenario, n: int = 16) -> int:
+    """How many distinct ``(metrics.summary(), extras)`` the seeds produce.
+
+    The graph is built once (size ``n``, seed 0), so any variation comes
+    from the driver's own use of its seed, never from the instance.
+    """
+    graph = scenario.build_graph(n, 0)
+    driver = get_algorithm_spec(scenario.algorithm).resolve()
+    outputs = set()
+    for seed in PROBE_SEEDS:
+        metrics = Metrics()
+        extras = driver(graph, seed, metrics, **dict(scenario.params))
+        outputs.add(json.dumps([metrics.summary(), extras], sort_keys=True, default=repr))
+    return len(outputs)
+
+
+def _drive_seedless_bfs(graph, seed, metrics):
+    """A driver that drops its seed: every cell of the seed axis is one run."""
+    from repro.api.drivers import drive_bfs
+
+    return drive_bfs(graph, 0, metrics)
+
+
 class TestSeedVariation:
-    """Distinct seeds must sample distinct sources (the seed-ignored bug)."""
+    """Distinct seeds must give distinct runs (the seed-ignored bug)."""
 
     def test_source_node_varies_with_seed(self):
         from repro.api.drivers import _source_node
@@ -232,15 +280,27 @@ class TestSeedVariation:
         sources = {_source_node(graph, seed) for seed in range(6)}
         assert len(sources) > 1
 
-    def test_unweighted_scenario_rows_vary_across_seeds(self):
-        # On an unweighted family the instance is seed-independent, so any
-        # row variation can only come from the seeded source draw.
-        rows = [run_scenario("bfs/grid", 16, seed=seed) for seed in range(6)]
-        assert len({row["rounds"] for row in rows}) > 1
+    @pytest.mark.parametrize(
+        "algorithm", sorted(spec.name for spec in list_algorithm_specs())
+    )
+    def test_driver_output_varies_with_seed_on_a_fixed_instance(self, algorithm):
+        distinct = distinct_seed_outputs(seed_probe_scenario(algorithm))
+        if algorithm in SEED_INVARIANT:
+            assert distinct == 1, (
+                f"{algorithm} now varies with its seed; drop it from SEED_INVARIANT"
+            )
+        else:
+            assert distinct > 1, f"{algorithm} ignores its seed on a fixed instance"
 
-    def test_two_seeds_differ_for_sleeping_scenario(self):
-        rows = [run_scenario("energy-bfs/path", 12, seed=seed) for seed in range(4)]
-        assert len({(row["rounds"], row["energy"]) for row in rows}) > 1
+    def test_seed_ignoring_driver_is_flagged(self, temp_scenario, monkeypatch):
+        monkeypatch.setattr(algorithms, "_SPECS", dict(algorithms._SPECS))
+        register_algorithm_spec(
+            AlgorithmSpec("seedless-bfs", entry_point="", driver=_drive_seedless_bfs)
+        )
+        scenario = temp_scenario(
+            Scenario("test-catalog/seedless-bfs", "grid", "seedless-bfs")
+        )
+        assert distinct_seed_outputs(scenario) == 1
 
 
 class TestParamsAwareResume:
