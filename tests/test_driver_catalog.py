@@ -12,6 +12,8 @@ This file covers the catalog-growth contract:
   driver outside :data:`SEED_INVARIANT` gives more than one distinct
   output across seeds (the silent-corruption bug where every
   ``(scenario, n, seed)`` cell recomputed the identical run);
+* a driver is a function of its graph and seed: one seed repeated on one
+  instance gives one output, and the driver leaves the graph unchanged;
 * resume keys carry the scenario-definition digest, so a store written
   under old params never silently satisfies a sweep under new ones.
 """
@@ -31,6 +33,7 @@ from repro.api import (
     run_sweep_spec,
 )
 from repro.graphs import generators
+from repro.graphs.io import dumps
 from repro.sim import Metrics, experiments
 from repro.sim.experiments import (
     ROW_FIELDS,
@@ -263,11 +266,49 @@ def distinct_seed_outputs(scenario: Scenario, n: int = 16) -> int:
     return len(outputs)
 
 
+def repeated_seed_outputs(scenario: Scenario, n: int = 16, seed: int = 3):
+    """Two runs of one seed on one instance: ``(outputs, graph before, after)``.
+
+    Each run gets a fresh ``Metrics``; the graph is shared, as it is across
+    the seed axis of a sweep cell's cached instance.
+    """
+    graph = scenario.build_graph(n, 0)
+    before = dumps(graph)
+    driver = get_algorithm_spec(scenario.algorithm).resolve()
+    outputs = []
+    for _ in range(2):
+        metrics = Metrics()
+        extras = driver(graph, seed, metrics, **dict(scenario.params))
+        outputs.append(json.dumps([metrics.summary(), extras], sort_keys=True, default=repr))
+    return outputs, before, dumps(graph)
+
+
 def _drive_seedless_bfs(graph, seed, metrics):
     """A driver that drops its seed: every cell of the seed axis is one run."""
     from repro.api.drivers import drive_bfs
 
     return drive_bfs(graph, 0, metrics)
+
+
+_STATEFUL_CALLS = []
+
+
+def _drive_stateful_bfs(graph, seed, metrics):
+    """A driver whose source depends on how often it ran before, not its seed."""
+    from repro.api.drivers import drive_bfs
+
+    _STATEFUL_CALLS.append(seed)
+    return drive_bfs(graph, seed + len(_STATEFUL_CALLS), metrics)
+
+
+def _drive_graph_mutating_bfs(graph, seed, metrics):
+    """A driver that adds a chord to the instance it was handed."""
+    from repro.api.drivers import drive_bfs
+
+    nodes = sorted(graph.nodes(), key=repr)
+    u = nodes[0]
+    graph.add_edge(u, next(v for v in nodes[1:] if not graph.has_edge(u, v)))
+    return drive_bfs(graph, seed, metrics)
 
 
 class TestSeedVariation:
@@ -301,6 +342,41 @@ class TestSeedVariation:
             Scenario("test-catalog/seedless-bfs", "grid", "seedless-bfs")
         )
         assert distinct_seed_outputs(scenario) == 1
+
+
+class TestSeedDeterminism:
+    """One seed on one instance is one run, and the instance stays as given."""
+
+    @pytest.mark.parametrize(
+        "algorithm", sorted(spec.name for spec in list_algorithm_specs())
+    )
+    def test_driver_is_a_function_of_graph_and_seed(self, algorithm):
+        outputs, before, after = repeated_seed_outputs(seed_probe_scenario(algorithm))
+        assert outputs[0] == outputs[1], f"{algorithm} differs under a repeated seed"
+        assert after == before, f"{algorithm} mutated the graph it was given"
+
+    def test_stateful_driver_is_flagged(self, temp_scenario, monkeypatch):
+        monkeypatch.setattr(algorithms, "_SPECS", dict(algorithms._SPECS))
+        register_algorithm_spec(
+            AlgorithmSpec("stateful-bfs", entry_point="", driver=_drive_stateful_bfs)
+        )
+        scenario = temp_scenario(
+            Scenario("test-catalog/stateful-bfs", "grid", "stateful-bfs")
+        )
+        outputs, before, after = repeated_seed_outputs(scenario)
+        assert outputs[0] != outputs[1]
+        assert after == before
+
+    def test_graph_mutating_driver_is_flagged(self, temp_scenario, monkeypatch):
+        monkeypatch.setattr(algorithms, "_SPECS", dict(algorithms._SPECS))
+        register_algorithm_spec(
+            AlgorithmSpec("mutating-bfs", entry_point="", driver=_drive_graph_mutating_bfs)
+        )
+        scenario = temp_scenario(
+            Scenario("test-catalog/mutating-bfs", "grid", "mutating-bfs")
+        )
+        _outputs, before, after = repeated_seed_outputs(scenario)
+        assert after != before
 
 
 class TestParamsAwareResume:

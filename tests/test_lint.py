@@ -1,6 +1,7 @@
 """``repro.lint``: rule engine, rule set, pragmas, CLI, and ``--plugins``."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +14,12 @@ from repro.lint import (
     RULES,
     SYNTAX_RULE_ID,
     Finding,
+    lint_file,
     lint_paths,
     lint_source,
     resolve_rule_selection,
 )
+from repro.lint.plugins import RESOLVE_RULE_ID
 from repro.lint.rules import ROW_FIELDS_SNAPSHOT
 from repro.lint.sarif import sarif_document
 from repro.testing import subprocess_env
@@ -148,6 +151,50 @@ class TestPragmas:
         )
         assert lint_source(source) == []
 
+    def test_pragma_ids_are_case_insensitive(self):
+        source = BAD_SNIPPET.replace(
+            "random.random()", "random.random()  # repro: lint-ok[d101] lower-case id"
+        )
+        assert lint_source(source) == []
+
+    def test_pragma_naming_no_rule_is_a_finding(self):
+        source = BAD_SNIPPET.replace(
+            "random.random()", "random.random()  # repro: lint-ok[] no ids at all"
+        )
+        assert {f.rule for f in lint_source(source)} == {PRAGMA_RULE_ID, "D101"}
+
+    def test_pragma_naming_a_family_is_a_finding(self):
+        # --select takes family prefixes; a pragma must name exact ids, so
+        # one suppression can never blanket a whole family.
+        source = BAD_SNIPPET.replace(
+            "random.random()", "random.random()  # repro: lint-ok[D] whole family"
+        )
+        findings = lint_source(source)
+        assert {f.rule for f in findings} == {PRAGMA_RULE_ID, "D101"}
+        pragma = next(f for f in findings if f.rule == PRAGMA_RULE_ID)
+        assert "['D']" in pragma.message
+
+    def test_invalid_pragma_anchors_at_the_pragma(self):
+        source = BAD_SNIPPET.replace(
+            "random.random()", "random.random()  # repro: lint-ok[D101]"
+        )
+        pragma = next(f for f in lint_source(source) if f.rule == PRAGMA_RULE_ID)
+        line = source.splitlines()[pragma.line - 1]
+        assert pragma.line == 5
+        assert line[pragma.col:].startswith("# repro: lint-ok[D101]")
+
+    def test_comment_line_pragma_does_not_reach_two_lines_down(self):
+        source = (
+            "import random\n"
+            "\n"
+            "\n"
+            "def f():\n"
+            "    # repro: lint-ok[D101] covers only the blank line below\n"
+            "\n"
+            "    return random.random()\n"
+        )
+        assert [(f.rule, f.line) for f in lint_source(source)] == [("D101", 7)]
+
 
 class TestSelection:
     def test_select_runs_only_named_rules(self):
@@ -180,6 +227,78 @@ class TestSelection:
         assert {f.rule for f in lint_source(timed)} == {"D105"}
         assert lint_source(timed, path="src/repro/bench.py") == []
 
+    def test_exempt_paths_match_whole_file_names_only(self):
+        timed = "import time\n\n\ndef f():\n    return time.time()\n"
+        assert {f.rule for f in lint_source(timed, path="src/repro/bench_tools.py")} == {
+            "D105"
+        }
+
+    def test_select_and_ignore_compose(self):
+        source = BAD_SNIPPET.replace(
+            "return random.random()", "random.seed(0)\n    return random.random()"
+        )
+        findings = lint_source(source, select=("D",), ignore=("D101",))
+        assert {f.rule for f in findings} == {"D102"}
+
+    def test_selection_entries_are_trimmed_and_case_folded(self):
+        assert [rule.id for rule in resolve_rule_selection((" d101 ",), None)] == ["D101"]
+        active = resolve_rule_selection(None, ("p",))
+        assert {rule.id[0] for rule in active} == {"D"}
+
+    def test_flow_family_is_unknown(self):
+        with pytest.raises(ValueError, match="--select"):
+            resolve_rule_selection(("F",), None)
+        with pytest.raises(ValueError, match="--ignore"):
+            resolve_rule_selection(None, ("F",))
+
+    def test_meta_rules_report_under_any_select(self):
+        assert [f.rule for f in lint_source("def broken(:\n", select=("P",))] == [
+            SYNTAX_RULE_ID
+        ]
+        source = BAD_SNIPPET.replace(
+            "random.random()", "random.random()  # repro: lint-ok[D101]"
+        )
+        assert {f.rule for f in lint_source(source, select=("D102",))} == {
+            PRAGMA_RULE_ID
+        }
+
+    def test_ignore_drops_meta_rules_by_id_or_family(self):
+        source = BAD_SNIPPET.replace(
+            "random.random()", "random.random()  # repro: lint-ok[D101]"
+        )
+        assert {f.rule for f in lint_source(source, ignore=(PRAGMA_RULE_ID,))} == {"D101"}
+        assert lint_source("def broken(:\n", ignore=("X",)) == []
+        assert lint_source("def broken(:\n", ignore=(SYNTAX_RULE_ID,)) == []
+
+
+# ----------------------------------------------------------------------
+# files and trees
+# ----------------------------------------------------------------------
+class TestLintPaths:
+    def test_directories_walk_sorted_and_skip_hidden_parts(self, tmp_path):
+        for rel in ("b.py", "a.py", "sub/c.py", ".hidden/d.py", "sub/.e/f.py", "notes.txt"):
+            target = tmp_path / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text("X = 1\n")
+        findings, checked = lint_paths([str(tmp_path)])
+        assert findings == []
+        assert checked == [str(tmp_path / rel) for rel in ("a.py", "b.py", "sub/c.py")]
+
+    def test_missing_path_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no-such"):
+            lint_paths([str(tmp_path / "no-such")])
+
+    def test_findings_sort_by_path_then_line(self, tmp_path):
+        (tmp_path / "z.py").write_text(BAD_SNIPPET)
+        (tmp_path / "a.py").write_text("import random\n" + BAD_SNIPPET)
+        findings, _ = lint_paths([str(tmp_path / "z.py"), str(tmp_path / "a.py")])
+        assert [(Path(f.path).name, f.line) for f in findings] == [("a.py", 6), ("z.py", 5)]
+
+    def test_lint_file_is_lint_source_on_the_file_text(self):
+        path = FIXTURES / "d106_bad.py"
+        assert lint_file(path) == lint_source(path.read_text(), str(path))
+        assert lint_file(path, select=("P",)) == []
+
 
 # ----------------------------------------------------------------------
 # CLI: exits, filtering, JSON schema
@@ -206,6 +325,30 @@ class TestLintCLI:
         for rule in RULES:
             assert rule.id in out
             assert rule.name in out
+
+    def test_list_rules_lists_exactly_the_d_and_p_families(self, capsys):
+        assert main(["lint", "--list-rules", "--json"]) == 0
+        ids = [entry["id"] for entry in json.loads(capsys.readouterr().out)]
+        assert ids == [f"D{n}" for n in range(101, 108)] + [f"P{n}" for n in range(201, 207)]
+
+    def test_cache_flag_is_a_usage_error(self, capsys):
+        good = str(FIXTURES / "d101_good.py")
+        assert main(["lint", good, "--cache", "lint-cache.json"]) == 2
+        capsys.readouterr()
+
+    def test_text_output_renders_each_finding_and_a_count(self, capsys):
+        bad = FIXTURES / "d102_bad.py"
+        assert main(["lint", str(bad)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [finding.render() for finding in lint_file(bad)]
+        assert lines[-1] == f"{len(lines) - 1} finding(s) in 1 file checked"
+
+    def test_output_flag_overrides_json_flag(self, capsys):
+        bad = str(FIXTURES / "d102_bad.py")
+        assert main(["lint", bad, "--json", "--output", "text"]) == 1
+        assert "finding(s) in 1 file checked" in capsys.readouterr().out
+        assert main(["lint", bad, "--output", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["findings"]
 
     def test_list_rules_json(self, capsys):
         assert main(["lint", "--list-rules", "--json"]) == 0
@@ -353,6 +496,31 @@ class TestSarif:
         doc = json.loads(capsys.readouterr().out)
         assert doc["runs"][0]["results"] == []
 
+    def test_pseudo_findings_keep_their_uri_and_carry_no_pragma_hint(self):
+        finding = Finding(
+            rule=RESOLVE_RULE_ID, name="unresolvable-spec", severity="error",
+            path="<registry:broken>", line=1, col=0, message="failed to resolve",
+        )
+        result = sarif_document([finding], RULES, "0.0-test")["runs"][0]["results"][0]
+        location = result["locations"][0]["physicalLocation"]
+        assert location["artifactLocation"]["uri"] == "<registry:broken>"
+        assert result["message"]["text"] == "failed to resolve"
+        assert result["ruleIndex"] == len(RULES) + 2
+
+    def test_rule_severity_maps_to_sarif_level(self):
+        findings = lint_file(FIXTURES / "d103_bad.py")
+        doc = sarif_document(findings, RULES, "0.0-test")
+        run = doc["runs"][0]
+        levels = {
+            rule["id"]: rule["defaultConfiguration"]["level"]
+            for rule in run["tool"]["driver"]["rules"]
+        }
+        assert levels == {
+            **{rule.id: rule.severity for rule in RULES},
+            "X000": "error", "X100": "error", "X200": "error",
+        }
+        assert [result["level"] for result in run["results"]] == ["warning"] * len(findings)
+
 
 # ----------------------------------------------------------------------
 # --plugins: the registry gate
@@ -375,6 +543,26 @@ def register():
 '''
 
 
+BROKEN_PLUGIN = '''\
+from repro.api import AlgorithmSpec, register_algorithm_spec
+
+
+def register():
+    register_algorithm_spec(
+        AlgorithmSpec("broken", "lint_no_such_module:drive",
+                      description="entry point that does not import")
+    )
+'''
+
+
+def plugin_env(path: Path, plugin: str) -> dict:
+    """The subprocess environment with ``plugin`` importable from ``path``."""
+    env = dict(SUBPROCESS_ENV)
+    env["PYTHONPATH"] = str(path) + os.pathsep + env["PYTHONPATH"]
+    env["REPRO_PLUGINS"] = plugin
+    return env
+
+
 class TestPluginsMode:
     def test_builtin_registry_lints_clean(self):
         result = subprocess.run(
@@ -386,9 +574,7 @@ class TestPluginsMode:
 
     def test_unseeded_plugin_driver_is_caught(self, tmp_path):
         (tmp_path / "lint_rogue_plugin.py").write_text(ROGUE_PLUGIN)
-        env = dict(SUBPROCESS_ENV)
-        env["PYTHONPATH"] = str(tmp_path) + ":" + env["PYTHONPATH"]
-        env["REPRO_PLUGINS"] = "lint_rogue_plugin:register"
+        env = plugin_env(tmp_path, "lint_rogue_plugin:register")
         result = subprocess.run(
             [sys.executable, "-m", "repro", "lint", "--plugins", "--json"],
             capture_output=True, text=True, env=env,
@@ -401,6 +587,41 @@ class TestPluginsMode:
         # The checked-file listing names which algorithms each file backs.
         assert any("rogue" in entry for entry in data["files_checked"])
 
+    def test_plugin_under_a_linted_path_reports_once(self, tmp_path):
+        (tmp_path / "lint_rogue_plugin.py").write_text(ROGUE_PLUGIN)
+        env = plugin_env(tmp_path, "lint_rogue_plugin:register")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "lint", str(tmp_path), "--plugins", "--json"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 1, result.stdout + result.stderr
+        findings = json.loads(result.stdout)["findings"]
+        assert [f["rule"] for f in findings] == ["D101"]
+
+    def test_unresolvable_spec_is_an_x200_finding(self, tmp_path):
+        (tmp_path / "lint_broken_plugin.py").write_text(BROKEN_PLUGIN)
+        env = plugin_env(tmp_path, "lint_broken_plugin:register")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "lint", "--plugins", "--json"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 1, result.stdout + result.stderr
+        findings = json.loads(result.stdout)["findings"]
+        assert [(f["rule"], f["path"]) for f in findings] == [
+            (RESOLVE_RULE_ID, "<registry:broken>")
+        ]
+        assert "lint_no_such_module:drive" in findings[0]["message"]
+
+    def test_builtin_registry_sarif_is_clean(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "lint", "--plugins", "--output", "sarif"],
+            capture_output=True, text=True, env=SUBPROCESS_ENV,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        doc = json.loads(result.stdout)
+        assert doc["version"] == "2.1.0"
+        assert doc["runs"][0]["results"] == []
+
 
 # ----------------------------------------------------------------------
 # cross-pins against the live system
@@ -410,6 +631,35 @@ class TestCrossPins:
         from repro.sim.experiments import ROW_FIELDS
 
         assert ROW_FIELDS_SNAPSHOT == ROW_FIELDS
+
+    def test_d103_summary_states_when_set_order_varies(self):
+        # D103 says set order depends on insertion history, and on the
+        # per-process hash seed for str/bytes elements or containers of
+        # them; pin each half of that against the interpreter.
+        summary = next(rule.summary for rule in RULES if rule.id == "D103")
+        assert "insertion history" in summary
+        assert "str/bytes" in summary
+        first, second = {1}, {9}
+        first.add(9)
+        second.add(1)
+        assert first == second and list(first) != list(second)
+        probe = (
+            "print(list({(3, 1), (0, 2), (5, 7)}), "
+            "list({'alpha', 'beta', 'gamma', 'delta'}), "
+            "list({('alpha', 1), ('beta', 2), ('gamma', 3)}))"
+        )
+        runs = []
+        for hash_seed in ("1", "2"):
+            env = dict(SUBPROCESS_ENV, PYTHONHASHSEED=hash_seed)
+            result = subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True,
+                env=env, check=True,
+            )
+            runs.append(result.stdout.split("] "))
+        ints, strs, str_tuples = zip(*runs)
+        assert ints[0] == ints[1]
+        assert strs[0] != strs[1]
+        assert str_tuples[0] != str_tuples[1]
 
     def test_rule_ids_are_unique_and_well_formed(self):
         assert len(RULE_IDS) == len(set(RULE_IDS))
