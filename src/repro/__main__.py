@@ -153,27 +153,17 @@ def _cmd_info(args) -> int:
         ("repro.energy.bootstrap", "from-scratch BFS + energy CSSP (Thms 3.13-3.15)"),
     ]
     from repro.api import list_algorithm_specs
-    from repro.sim.kernels import available_backends, current_backend
 
     scenarios = _scenario_catalog()
-    backend = {
-        "active": current_backend(),
-        "available": list(available_backends()),
-    }
     if args.json:
         print(json.dumps({
             "version": repro.__version__,
-            "backend": backend,
             "systems": dict(systems),
             "algorithms": [spec.to_dict() for spec in list_algorithm_specs()],
             "scenarios": scenarios,
         }, indent=2))
         return 0
     print(f"repro {repro.__version__} — reproduction of Ghaffari & Trygub, PODC 2024")
-    print(
-        f"batch-kernel backend: {backend['active']} "
-        f"(available: {', '.join(backend['available'])})"
-    )
     print("\nImplemented systems:")
     for module, description in systems:
         print(f"  {module:32s} {description}")
@@ -260,7 +250,6 @@ def _cmd_sweep(args, parser) -> int:
             engine=args.engine,
             fault_model=args.fault_model,
             force_faults=args.force_faults,
-            backend=args.backend,
         )
     except SpecError as exc:
         parser.error(str(exc))
@@ -351,7 +340,6 @@ def _cmd_bench(args, parser) -> int:
             output=args.output,
             quick=args.quick,
             factor=args.factor,
-            backend=args.backend,
         )
     except SpecError as exc:
         parser.error(str(exc))
@@ -560,9 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--force-faults", action="store_true", default=None,
                        help="inject --fault-model into explicitly named scenarios even "
                        "when their algorithms declare no tolerance (watch them break)")
-    sweep.add_argument("--backend", choices=("scalar", "numpy"),
-                       help="node-step dispatch path (default: numpy when importable); "
-                       "provenance-only — rows are byte-identical either way")
     sweep.add_argument("--report", metavar="PATH", help="write a Markdown report instead of printing")
     sweep.add_argument("--fit", action="store_true", help="append per-scenario power-law fits")
     sweep.add_argument("--smoke", action="store_true", help="fixed tiny CI sweep (pins the selectors)")
@@ -581,9 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quick", action="store_true", default=None,
                        help="one repetition + gate against the recorded baseline")
     bench.add_argument("--factor", type=float, metavar="X", help="gate threshold (default 2.0)")
-    bench.add_argument("--backend", choices=("scalar", "numpy"),
-                       help="node-step dispatch path for the timed runs "
-                       "(default: numpy when importable)")
     bench.add_argument("--json", action="store_true", help="machine-readable output")
 
     lint = commands.add_parser(

@@ -14,13 +14,6 @@ seed.  Structure-building drivers (``boruvka``, ``decomposition``, the
 covers) are deterministic per instance and use the seed only through the
 instance weights; ``apsp`` feeds it to the random-delay scheduler.
 
-Backend-agnosticism: drivers never see the batch-kernel ``backend``
-knob.  Kernels are metering-parity-bound (see :mod:`repro.sim.kernels`),
-so a driver's results, its oracle checks, and every quality column are
-identical under scalar and numpy dispatch — which is why the knob stays
-provenance (never a row column, never digested) and a driver cannot
-accidentally depend on it.
-
 Quality columns: a driver may return a ``dict`` of scenario-specific
 metric columns (MST weight, cover degree/radius, per-node energy,
 ``preprocess_*`` construction costs).  The sweep engine merges them into

@@ -143,7 +143,6 @@ class _Worker:
         engine: str | None = None,
         latency_model: str | None = None,
         fault_model: str | None = None,
-        backend: str | None = None,
     ):
         from ..sim import experiments
 
@@ -154,8 +153,7 @@ class _Worker:
         self.process = context.Process(
             target=experiments._worker_loop,
             args=(
-                task_reader, result_writer, with_metrics, engine, latency_model,
-                fault_model, backend,
+                task_reader, result_writer, with_metrics, engine, latency_model, fault_model,
             ),
             daemon=True,
         )
@@ -201,7 +199,6 @@ def _run_groups_supervised(
     engine: str | None = None,
     latency_model: str | None = None,
     fault_model: str | None = None,
-    backend: str | None = None,
 ) -> None:
     """Dispatch locality groups to supervised fork workers until all settle.
 
@@ -246,10 +243,7 @@ def _run_groups_supervised(
             target = min(workers, len(pending) + sum(w.group_id is not None for w in pool))
             while sum(w.process.is_alive() for w in pool) < target:
                 pool.append(
-                    _Worker(
-                        context, with_metrics, engine, latency_model,
-                        fault_model, backend,
-                    )
+                    _Worker(context, with_metrics, engine, latency_model, fault_model)
                 )
             for worker in pool:
                 if worker.group_id is None and pending and worker.process.is_alive():
@@ -505,28 +499,6 @@ def run_sweep_spec(
             context = multiprocessing.get_context("fork")
         except ValueError:
             context = None  # no fork on this platform: run sequentially
-    # Zero-copy graph plane: build each group's graph once in the
-    # supervisor and publish its CSR as a shared-memory segment.  The
-    # attach map is set before any fork so workers inherit it; segments
-    # are owned by this process only and unlinked in the finally below —
-    # on success, driver errors, worker crashes, and Ctrl-C alike.
-    shm_handles: list = []
-    if context is not None:
-        from ..sim import shm as shm_plane
-
-        if shm_plane.available():
-            for key, group in groups.items():
-                _, name, n, seed = group[0]
-                try:
-                    graph = experiments._cached_graph(
-                        experiments.get_scenario(name), n, seed
-                    )
-                    handle = shm_plane.publish_graph(graph)
-                except Exception:
-                    handle = None  # unpicklable labels, full /dev/shm, ...
-                if handle is not None:
-                    shm_handles.append(handle)
-                    experiments._SHM_ATTACH[key] = handle.name
     # try/finally, not context managers alone: the store must flush and
     # close on *every* exit — success, a driver exception, or Ctrl-C —
     # or buffered rows of an interrupted sweep would be lost.
@@ -544,11 +516,8 @@ def run_sweep_spec(
                 engine=spec.engine,
                 latency_model=spec.latency_model,
                 fault_model=spec.fault_model,
-                backend=spec.backend,
             )
         else:
-            from ..sim.kernels import use_backend
-
             run_group = functools.partial(
                 experiments._run_cell_group,
                 with_metrics=with_metrics,
@@ -556,15 +525,10 @@ def run_sweep_spec(
                 latency_model=spec.latency_model,
                 fault_model=spec.fault_model,
             )
-            with use_backend(spec.backend):
-                for group in group_list:
-                    for index, row, metrics in run_group(group):
-                        land(index, row, metrics)
+            for group in group_list:
+                for index, row, metrics in run_group(group):
+                    land(index, row, metrics)
     finally:
-        if shm_handles:
-            experiments._SHM_ATTACH.clear()
-            for handle in shm_handles:
-                handle.unlink()
         store.close()
     return rows
 
@@ -594,16 +558,13 @@ def run_bench_spec(spec: BenchSpec) -> BenchOutcome:
     """Time the pinned workloads per ``spec``; gate or record the baseline."""
     from .. import bench
 
-    from ..sim.kernels import use_backend
-
     spec = spec.validate()
     repeats = 1 if spec.quick else spec.repeats
     try:
-        with use_backend(spec.backend):
-            results = bench.run_bench(spec.experiments, repeats=repeats)
+        results = bench.run_bench(spec.experiments, repeats=repeats)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
-    meta = bench.bench_provenance(spec.backend)
+    meta = bench.bench_provenance()
     baseline_path = spec.output or "BENCH.json"
     if not spec.quick:
         target = bench.write_bench(results, baseline_path, meta=meta)

@@ -29,25 +29,6 @@ class SpecError(ValueError):
     """Raised for malformed, unknown, or inconsistent spec data."""
 
 
-def _validate_backend(kind: str, backend) -> None:
-    """Shared ``backend`` field check for sweep and bench specs.
-
-    Only spellings are validated, never availability: requesting
-    ``"numpy"`` on a numpy-less interpreter is a valid spec that the
-    kernel layer resolves to scalar at run time (graceful fallback), so
-    the same spec file works across the CI matrix.
-    """
-    if backend is None:
-        return
-    from ..sim.kernels import _BACKENDS
-
-    if backend not in _BACKENDS:
-        raise SpecError(
-            f"{kind} spec: backend must be one of {list(_BACKENDS)} or None, "
-            f"got {backend!r}"
-        )
-
-
 def _as_tuple(value, item=None):
     """Normalize a JSON list / any sequence to a tuple (None passes through)."""
     if value is None:
@@ -164,15 +145,6 @@ class SweepSpec(Spec):
     ``scenarios=None`` it auto-restricts the catalog to tolerant
     scenarios, and explicitly named non-tolerant scenarios are an error
     unless ``force_faults=True`` opts into watching them break.
-
-    ``backend`` selects the node-step dispatch path (see
-    :mod:`repro.sim.kernels`): ``"numpy"`` enables batch kernels,
-    ``"scalar"`` forces the per-node path, ``None`` uses the
-    interpreter's default.  The knob is **provenance, not physics** —
-    both backends produce byte-identical rows and metrics, so it never
-    joins the resume digest and any store resumes under either setting;
-    a ``"numpy"`` request on a numpy-less interpreter falls back to
-    scalar rather than failing.
     """
 
     kind = "sweep"
@@ -190,7 +162,6 @@ class SweepSpec(Spec):
     engine: str | None = None
     fault_model: str | None = None
     force_faults: bool = False
-    backend: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "scenarios", _as_tuple(self.scenarios))
@@ -289,7 +260,6 @@ class SweepSpec(Spec):
             raise SpecError(
                 f"sweep spec: force_faults must be a boolean, got {self.force_faults!r}"
             )
-        _validate_backend("sweep", self.backend)
         return self
 
     def shard(self, count: int) -> "list[SweepSpec]":
@@ -337,10 +307,6 @@ class BenchSpec(Spec):
     ``quick=True`` is the CI gate: one repetition, no baseline rewrite, and
     a non-zero outcome when any experiment exceeds ``factor`` x the recorded
     baseline.
-
-    ``backend`` pins the node-step dispatch path for the timed runs (see
-    :class:`SweepSpec`); the resolved backend is recorded in the
-    baseline's provenance metadata, never compared by the gate.
     """
 
     kind = "bench"
@@ -350,7 +316,6 @@ class BenchSpec(Spec):
     output: str | None = None
     quick: bool = False
     factor: float = 2.0
-    backend: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "experiments", _as_tuple(self.experiments))
@@ -368,7 +333,6 @@ class BenchSpec(Spec):
             raise SpecError(f"bench spec: factor must be a positive number, got {self.factor!r}")
         if self.output is not None and not isinstance(self.output, str):
             raise SpecError(f"bench spec: output must be a path string or None, got {self.output!r}")
-        _validate_backend("bench", self.backend)
         return self
 
 

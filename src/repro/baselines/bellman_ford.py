@@ -21,75 +21,8 @@ from ..sim import (
     latency_bound,
     make_runner,
 )
-from ..sim.kernels import WAKE_HALT, WAKE_NEXT, BatchKernel
 
 __all__ = ["BellmanFordNode", "run_bellman_ford"]
-
-
-class _BellmanFordKernel(BatchKernel):
-    """Batch kernel for the all-edges relaxation rounds.
-
-    Mirrors :meth:`BellmanFordNode.on_round` branch for branch over state
-    columns; the per-round win is skipping the context/wake machinery for
-    the ``Theta(n)`` rounds in which every node relaxes and re-broadcasts.
-    """
-
-    def __init__(self, runner, algorithms) -> None:
-        views = runner.indexed.node_views()
-        self._algorithms = algorithms
-        self._views = views
-        self._weight_of: list = [a._weight_of for a in algorithms]
-        self._dist = [a.dist for a in algorithms]
-        self._changed = [a._changed for a in algorithms]
-        self._horizon = [a.horizon for a in algorithms]
-        self._soc = [a.send_on_change for a in algorithms]
-        self._degree0 = [v[3] == v[4] for v in views]
-
-    def on_round_batch(
-        self, r, awake, inboxes,
-        out_ports, out_payloads, bcast_src, bcast_payloads,
-    ):
-        dist = self._dist
-        changed = self._changed
-        weight_of = self._weight_of
-        degree0 = self._degree0
-        codes = []
-        append = codes.append
-        for i in awake:
-            box = inboxes[i]
-            if box.senders:
-                wo = weight_of[i]
-                if wo is None:
-                    view = self._views[i]
-                    wo = weight_of[i] = dict(zip(view[0], view[1]))
-                d = dist[i]
-                for sender, estimate in zip(box.senders, box.payloads):
-                    candidate = estimate + wo[sender]
-                    if candidate < d:
-                        d = candidate
-                        changed[i] = True
-                dist[i] = d
-            if r >= self._horizon[i]:
-                append(WAKE_HALT)
-                continue
-            soc = self._soc[i]
-            should_send = dist[i] != INFINITY and (changed[i] or not soc)
-            if should_send:
-                if not degree0[i]:  # ctx.broadcast's degree-0 early return
-                    bcast_src.append(i)
-                    bcast_payloads.append(dist[i])
-                changed[i] = False
-            if soc and not should_send:
-                append(self._horizon[i])  # wake_at(horizon): r < horizon here
-            else:
-                append(WAKE_NEXT)
-        return codes
-
-    def finalize(self) -> None:
-        for i, alg in enumerate(self._algorithms):
-            alg.dist = self._dist[i]
-            alg._changed = self._changed[i]
-            alg._weight_of = self._weight_of[i]
 
 
 class BellmanFordNode(NodeAlgorithm):
@@ -129,10 +62,6 @@ class BellmanFordNode(NodeAlgorithm):
         if self.send_on_change and not should_send:
             # Optimized variant: sleep until something arrives or the end.
             ctx.wake_at(self.horizon)
-
-    @classmethod
-    def batch_kernel(cls, runner) -> _BellmanFordKernel:
-        return _BellmanFordKernel(runner, runner._algorithms_by_index)
 
 
 def run_bellman_ford(

@@ -165,29 +165,22 @@ def run_bench(
     return results
 
 
-def bench_provenance(backend: str | None = None) -> dict:
+def bench_provenance() -> dict:
     """Provenance recorded alongside a refreshed baseline (``"_meta"``).
 
     Answers "what produced these numbers" when a later gate run trips:
-    the resolved dispatch backend, the interpreter, and the numpy the
-    kernels saw (``None`` on a scalar-only box).  Provenance is metadata,
-    never a compared quantity — :func:`compare_to_baseline` only looks at
-    numeric entries, so old baselines without it and new ones with it
-    gate identically.
+    the interpreter, the platform and the package version.  Provenance is
+    metadata, never a compared quantity — :func:`compare_to_baseline` only
+    looks at numeric entries, so old baselines without it and new ones
+    with it gate identically.
     """
     import platform
     import sys
 
     from . import __version__
-    from .sim.kernels import current_backend, numpy_or_none, use_backend
 
-    with use_backend(backend):
-        active = current_backend()
-    np = numpy_or_none()
     return {
-        "backend": active,
         "engines": ["round", "event"],
-        "numpy": getattr(np, "__version__", None),
         "platform": sys.platform,
         "python": platform.python_version(),
         "version": __version__,

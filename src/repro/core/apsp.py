@@ -98,11 +98,10 @@ class _TracingMetrics(Metrics):
     clock at send time: phases compose sequentially, so the clock at the
     moment a phase runs is exactly the round at which its messages travel.
 
-    Being a :class:`Metrics` *subclass* also disables batch kernels for
-    every phase run under it (see :func:`repro.sim.kernels.kernel_for`):
-    the per-send hook below observes individual sends, which the batch
-    path folds away — so APSP's traced relaxations always take the
-    scalar path, by the same gate that keeps the trace exact.
+    Being a :class:`Metrics` *subclass* also sends every phase run under
+    it down the engine's per-event metering path (the batched folds are
+    for plain :class:`Metrics` only), which the per-send hook below needs
+    to observe individual sends.
     """
 
     def __init__(self) -> None:

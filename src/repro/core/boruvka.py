@@ -45,7 +45,6 @@ import math
 
 from ..graphs import Graph
 from ..sim import Context, Metrics, Mode, NodeAlgorithm, SimulationError, make_runner
-from ..sim.kernels import WAKE_HALT, BatchKernel
 from .trees import RootedForest
 
 __all__ = ["BoruvkaNode", "build_maximal_forest", "boruvka_phase_count", "boruvka_round_bound"]
@@ -295,284 +294,7 @@ class BoruvkaNode(NodeAlgorithm):
     # Non-core endpoint: after sending a join at 4*seg we must learn by
     # 4*seg + 1 whether the partner fragment chose the same edge (its join
     # would arrive then); if not, we hang under it.  Handled in on_round via
-    # the message wake plus the explicit boundary below.
-
-    @classmethod
-    def batch_kernel(cls, runner) -> "_BoruvkaKernel | None":
-        algorithms = runner._algorithms_by_index
-        n = algorithms[0].n
-        if any(alg.n != n for alg in algorithms):
-            return None  # mixed schedules: no globally agreed offsets
-        return _BoruvkaKernel(runner, algorithms)
-
-
-class _JoinFollowUp:
-    """Marker documenting the 4*seg+1 follow-up; logic lives in BoruvkaNode."""
-
-
-class _BoruvkaKernel(BatchKernel):
-    """Declining kernel for Boruvka's globally scheduled offsets.
-
-    Most in-phase offsets have a regular batch shape every node agrees on
-    (the schedule is global — all nodes know ``n``):
-
-    * ``1 .. seg-1`` — refresh forwarding (the down-the-tree flood);
-    * ``seg`` — the hello broadcast, the only all-edges traffic;
-    * ``seg + 1`` — the hello ingest (``degree`` messages per node);
-    * ``2 seg`` — the convergecast kickoff (leaves fold and report);
-    * ``2 seg + 1 .. 3 seg - 1`` — the report folds up the tree;
-    * ``3 seg + 1 .. 4 seg - 1`` — the decision flood down the tree;
-    * ``4 seg`` — the merge kickoff (chosen endpoints fire joins).
-
-    Everything else (the ``3 seg`` root/ingest mix, join handshakes, flip
-    walks) is message-driven and irregular, so the kernel declines (``None``)
-    and the scalar dispatch runs unchanged.  Offsets that *emit sends*
-    validate the whole awake set before mutating anything — a scalar
-    replay after a half-stepped round would double-send.  The hello
-    ingest emits nothing and its writes are idempotent, so it may bail
-    mid-scan: the scalar replay redoes the same assignments.
-
-    Instance-backed: state stays on the :class:`BoruvkaNode` instances
-    (the scalar path handles the irregular offsets), so there is nothing
-    to write back in ``finalize``.
-    """
-
-    def __init__(self, runner, algorithms) -> None:
-        first = algorithms[0]
-        self._algorithms = algorithms
-        self._seg = first.segment
-        self._total_phases = first.total_phases
-        self._phase_len = first.phase_len
-        views = runner.indexed.node_views()
-        self._nbr_labels = [v[0] for v in views]
-        self._ports = [v[2] for v in views]
-        self._degree0 = [v[3] == v[4] for v in views]
-
-    def on_round_batch(
-        self, r, awake, inboxes,
-        out_ports, out_payloads, bcast_src, bcast_payloads,
-    ):
-        seg = self._seg
-        phase_len = self._phase_len
-        phase, offset = divmod(r, phase_len)
-        algorithms = self._algorithms
-        phase_start = phase * phase_len
-
-        if offset == 0:
-            # Phase reset; roots rename their fragment and start the
-            # refresh flood.  No message ever lands here (flip walks die
-            # out by offset 5*seg - 1), so a non-empty inbox or the
-            # convergence overrun both fall back to the scalar path (the
-            # latter so the SimulationError carries the exact node).
-            if phase >= self._total_phases:
-                return None
-            for i in awake:
-                if inboxes[i].senders or algorithms[i].complete:
-                    return None
-            wake = phase_start + seg
-            codes = []
-            for i in awake:
-                alg = algorithms[i]
-                alg._reset_phase_state()
-                if alg.parent is None:
-                    alg.fragment = alg.node
-                    alg.depth = 0
-                    if alg.children:
-                        ports = self._ports[i]
-                        message = ("refresh", alg.node, 1)
-                        for child in alg._kids():
-                            out_ports.append(ports[child][0])
-                            out_payloads.append(message)
-                codes.append(wake)
-            return codes
-
-        if offset == seg:
-            for i in awake:
-                if inboxes[i].senders or algorithms[i].complete:
-                    return None
-            # Scalar wake scan resolves to the convergecast boundary for
-            # every non-complete node at this offset.
-            wake = phase_start + 2 * seg
-            codes = []
-            for i in awake:
-                alg = algorithms[i]
-                if alg._edge_key_of is None:
-                    node = alg.node
-                    alg._edge_key_of = {
-                        v: _edge_key(node, v) for v in self._nbr_labels[i]
-                    }
-                if not self._degree0[i]:  # broadcast's degree-0 early return
-                    bcast_src.append(i)
-                    bcast_payloads.append(
-                        ("hello", alg.fragment, _fragment_key(alg.fragment))
-                    )
-                codes.append(wake)
-            return codes
-
-        if offset == seg + 1:
-            # Ingest-only round: no sends, idempotent writes — single pass,
-            # safe to decline mid-scan.
-            wake = phase_start + 2 * seg
-            codes = []
-            for i in awake:
-                alg = algorithms[i]
-                if alg.complete:
-                    return None
-                box = inboxes[i]
-                neighbor_fragment = alg._neighbor_fragment
-                for sender, payload in zip(box.senders, box.payloads):
-                    if payload[0] != "hello":
-                        return None
-                    neighbor_fragment[sender] = (payload[1], payload[2])
-                codes.append(wake)
-            return codes
-
-        if 0 < offset < seg:
-            # Refresh forwarding: relabel and flood down the current tree.
-            for i in awake:
-                for payload in inboxes[i].payloads:
-                    if payload[0] != "refresh":
-                        return None
-            wake = phase_start + seg
-            codes = []
-            for i in awake:
-                alg = algorithms[i]
-                box = inboxes[i]
-                ports = self._ports[i]
-                for payload in box.payloads:
-                    _, frag, depth = payload
-                    alg.fragment = frag
-                    alg.depth = depth
-                    if alg.children:
-                        message = ("refresh", frag, depth + 1)
-                        for child in alg._kids():
-                            out_ports.append(ports[child][0])
-                            out_payloads.append(message)
-                codes.append(wake)
-            return codes
-
-        if offset == 2 * seg:
-            # Convergecast kickoff: leaves (and childless roots) fold and
-            # report; everyone else just waits for child reports.
-            for i in awake:
-                if inboxes[i].senders or algorithms[i].complete:
-                    return None
-            root_wake = phase_start + 3 * seg
-            wake = phase_start + 4 * seg
-            codes = []
-            for i in awake:
-                alg = algorithms[i]
-                if not alg._sent_report and alg._report_count >= len(alg.children):
-                    candidates = [c for c in alg._reports if c is not None]
-                    own = alg._my_candidate()
-                    if own is not None:
-                        candidates.append(own)
-                    best = (
-                        min(candidates, key=lambda c: c[:2]) if candidates else None
-                    )
-                    alg._sent_report = True
-                    if alg.parent is None:
-                        alg._decision = None if best is None else (best[2], best[3])
-                    else:
-                        out_ports.append(self._ports[i][alg.parent][0])
-                        out_payloads.append(("report", best))
-                codes.append(root_wake if alg.parent is None else wake)
-            return codes
-
-        if 2 * seg < offset < 3 * seg:
-            # Report folds: ingest child reports, forward when the subtree
-            # is accounted for.  Offset 3*seg itself stays scalar (roots
-            # broadcast their decision there while late reports ingest).
-            for i in awake:
-                if algorithms[i].complete:
-                    return None
-                for payload in inboxes[i].payloads:
-                    if payload[0] != "report":
-                        return None
-            root_wake = phase_start + 3 * seg
-            wake = phase_start + 4 * seg
-            codes = []
-            for i in awake:
-                alg = algorithms[i]
-                box = inboxes[i]
-                for payload in box.payloads:
-                    alg._reports.append(payload[1])
-                    alg._report_count += 1
-                if not alg._sent_report and alg._report_count >= len(alg.children):
-                    candidates = [c for c in alg._reports if c is not None]
-                    own = alg._my_candidate()
-                    if own is not None:
-                        candidates.append(own)
-                    best = (
-                        min(candidates, key=lambda c: c[:2]) if candidates else None
-                    )
-                    alg._sent_report = True
-                    if alg.parent is None:
-                        alg._decision = None if best is None else (best[2], best[3])
-                    else:
-                        out_ports.append(self._ports[i][alg.parent][0])
-                        out_payloads.append(("report", best))
-                codes.append(root_wake if alg.parent is None else wake)
-            return codes
-
-        if 3 * seg < offset < 4 * seg:
-            # Decision flood: relabel and forward down the tree.
-            for i in awake:
-                if algorithms[i].complete:
-                    return None
-                for payload in inboxes[i].payloads:
-                    if payload[0] != "decision":
-                        return None
-            wake = phase_start + 4 * seg
-            codes = []
-            for i in awake:
-                alg = algorithms[i]
-                box = inboxes[i]
-                ports = self._ports[i]
-                for payload in box.payloads:
-                    decision = alg._decision = payload[1]
-                    if alg.children:
-                        message = ("decision", decision)
-                        for child in alg._kids():
-                            out_ports.append(ports[child][0])
-                            out_payloads.append(message)
-                codes.append(wake)
-            return codes
-
-        if offset == 4 * seg:
-            # Merge kickoff: completion detection plus the join fire.
-            for i in awake:
-                if inboxes[i].senders:
-                    return None
-            next_phase = phase_start + phase_len
-            codes = []
-            for i in awake:
-                alg = algorithms[i]
-                decision = alg._decision
-                if decision is None:
-                    alg.complete = True
-                if alg.complete:
-                    codes.append(phase_start + 4 * seg + 2)
-                    continue
-                if decision != "pending" and decision[0] == alg.node:
-                    cv = decision[1]
-                    alg._sent_join_to = cv
-                    out_ports.append(self._ports[i][cv][0])
-                    out_payloads.append(("join", alg.fragment))
-                    codes.append(phase_start + 4 * seg + 1)
-                else:
-                    codes.append(next_phase)
-            return codes
-
-        if offset == 4 * seg + 2:
-            # Completion round: fragments that found no outgoing edge halt
-            # together.  Mixed with flip-walk arrivals it stays scalar.
-            for i in awake:
-                if inboxes[i].senders or not algorithms[i].complete:
-                    return None
-            return [WAKE_HALT] * len(awake)
-
-        return None
+    # the message wake plus the explicit ``4 * seg + 1`` boundary.
 
 
 def build_maximal_forest(graph: Graph, *, metrics: Metrics | None = None) -> RootedForest:

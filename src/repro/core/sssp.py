@@ -48,11 +48,7 @@ def sssp(graph: Graph, source: object, *, eps: float = DEFAULT_EPS) -> SSSPResul
     """Exact single-source shortest paths via the Section 2 recursion.
 
     Deterministic; ``~O(n)`` rounds; ``~O(m)`` messages; polylog congestion
-    per edge (Theorem 2.6).  Nonnegative integer weights.  The result —
-    distances *and* every metered observable — is independent of the
-    active dispatch backend (:mod:`repro.sim.kernels`): kernels are bound
-    to metering parity, so ``scalar`` and ``numpy`` runs are
-    byte-identical here.
+    per edge (Theorem 2.6).  Nonnegative integer weights.
     """
     distances, metrics = cssp(graph, {source: 0}, eps=eps)
     return SSSPResult(source=source, distances=distances, metrics=metrics)

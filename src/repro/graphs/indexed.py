@@ -56,7 +56,6 @@ class IndexedGraph:
         "_port_src_labels",
         "_broadcast_views",
         "_engine_pool",
-        "_csr",
     )
 
     def __init__(self, graph) -> None:
@@ -96,60 +95,6 @@ class IndexedGraph:
         # Single-slot pool of runner engine state (contexts, inboxes, port
         # loads) — checked out by Runner.__init__, returned by a clean run().
         self._engine_pool: tuple | None = None
-        # Cached (indptr, nbr, wt) numpy export; see csr().
-        self._csr: tuple | None = None
-
-    @classmethod
-    def from_csr(cls, labels, indptr, nbr, wt, *, csr_views=None) -> "IndexedGraph":
-        """Build a view directly from CSR columns (the shm attach path).
-
-        ``indptr``/``nbr``/``wt`` are any integer sequences; they are
-        materialized into the plain lists the engine indexes.  When the
-        caller already holds numpy views over the same data (e.g. mapped
-        shared memory), passing them as ``csr_views`` seeds the
-        :meth:`csr` cache so the flat-array export stays zero-copy.
-        """
-        self = object.__new__(cls)
-        self.labels = labels = list(labels)
-        self.index_of = {u: i for i, u in enumerate(labels)}
-        self.indptr = list(indptr)
-        self.nbr = list(nbr)
-        self.wt = list(wt)
-        self.num_nodes = len(labels)
-        self.num_edges = len(self.nbr) // 2
-        self._node_views = None
-        self._port_pairs = None
-        self._port_src_labels = None
-        self._broadcast_views = None
-        self._engine_pool = None
-        self._csr = csr_views
-        return self
-
-    def csr(self) -> tuple | None:
-        """The CSR structure as flat ``int64`` numpy arrays, or ``None``.
-
-        Returns ``(indptr, nbr, wt)`` — read-only views batch kernels use
-        for vectorized expansion — built once per view and cached.  The
-        engine's own bookkeeping stays on the plain lists (scalar indexing
-        of numpy arrays is slower and yields ``np.int64``); the arrays
-        exist for *bulk* operations only.  ``None`` when numpy is
-        unavailable (callers fall back to the lists).
-        """
-        arrays = self._csr
-        if arrays is None:
-            try:
-                import numpy as np
-            except ImportError:  # pragma: no cover - numpy-less fallback
-                return None
-            arrays = (
-                np.asarray(self.indptr, dtype=np.int64),
-                np.asarray(self.nbr, dtype=np.int64),
-                np.asarray(self.wt, dtype=np.int64),
-            )
-            for a in arrays:
-                a.flags.writeable = False
-            self._csr = arrays
-        return arrays
 
     # ------------------------------------------------------------------
     @classmethod

@@ -36,9 +36,6 @@ Protocol-contract rules
 * ``P205 undeclared-quality-column`` — driver-returned quality columns
   whose keys are not string literals, collide with the core
   :data:`ROW_FIELDS`, or carry non-JSON-safe literal values.
-* ``P206 batch-shared-mutation`` — an ``on_round_batch`` kernel mutating
-  its engine-owned columns (``awake``/``inboxes``) or CSR arrays in
-  place (shared across nodes — and, via shm, across worker processes).
 """
 
 from __future__ import annotations
@@ -993,134 +990,6 @@ class UndeclaredQualityColumn(Rule):
                 )
 
 
-
-def _on_round_batch_params(node) -> "tuple[str, str] | None":
-    """``(awake_name, inboxes_name)`` of an ``on_round_batch`` definition."""
-    if node.name != "on_round_batch":
-        return None
-    names = [arg.arg for arg in (*node.args.posonlyargs, *node.args.args)]
-    if names and names[0] == "self":
-        names = names[1:]
-    if len(names) < 3:
-        return None
-    return names[1], names[2]  # (r, awake, inboxes, out_ports, ...)
-
-
-#: Terminal attribute names that hold the flat CSR export (possibly
-#: shm-mapped); normalized by stripping leading underscores and the
-#: ``np_`` vector-view prefix.
-_CSR_ATTRS = frozenset({"indptr", "nbr", "wt", "csr"})
-
-
-class BatchSharedMutation(Rule):
-    id = "P206"
-    name = "batch-shared-mutation"
-    severity = "error"
-    summary = (
-        "on_round_batch mutating its engine-owned columns (awake/inboxes) "
-        "or the shared CSR arrays: the engine reuses the former after the "
-        "kernel returns, and the latter are one mapping shared by every "
-        "node — and, under the shm plane, every worker process"
-    )
-    example_bad = (
-        "class Kernel:\n"
-        "    def on_round_batch(self, r, awake, inboxes, out_ports,\n"
-        "                       out_payloads, bcast_src, bcast_payloads):\n"
-        "        for i in awake:\n"
-        "            inboxes[i].clear()  # expect: P206\n"
-        "            self._wt[i] = 0  # expect: P206\n"
-        "        return [-2] * len(awake)\n"
-    )
-    example_good = (
-        "class Kernel:\n"
-        "    def on_round_batch(self, r, awake, inboxes, out_ports,\n"
-        "                       out_payloads, bcast_src, bcast_payloads):\n"
-        "        for i in awake:\n"
-        "            for _sender, payload in inboxes[i]:\n"
-        "                self._dist[i] = min(self._dist[i], payload)\n"
-        "        return [-2] * len(awake)\n"
-    )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        params = _on_round_batch_params(node)
-        if params is not None:
-            self._check_body(node, set(params))
-        self.generic_visit(node)
-
-    @staticmethod
-    def _root_of(node: ast.AST) -> ast.AST:
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        return node
-
-    def _is_engine_rooted(self, node: ast.AST, owned: set) -> bool:
-        root = self._root_of(node)
-        return isinstance(root, ast.Name) and root.id in owned
-
-    def _is_csr_rooted(self, node: ast.AST) -> bool:
-        """Subscripted/attribute chain through a CSR-named attribute.
-
-        Kernels hold the flat CSR export on ``self`` (``self._indptr``,
-        ``self._nbr``, ``self._wt``, ``self._np_wt``, ...); any write
-        through such an attribute is a shared-array mutation.  Plain
-        per-node state columns (``self._dist``) do not match.
-        """
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            if isinstance(node, ast.Attribute):
-                name = node.attr.lstrip("_")
-                if name.startswith("np_"):
-                    name = name[3:]
-                if name in _CSR_ATTRS:
-                    return True
-            node = node.value
-        return False
-
-    def _check_body(self, func, owned: set) -> None:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr in _MUTATORS and (
-                    self._is_engine_rooted(node.func.value, owned)
-                    or self._is_csr_rooted(node.func.value)
-                ):
-                    self.report(
-                        node,
-                        f"on_round_batch calls .{node.func.attr}() on a "
-                        f"shared column; the engine owns awake/inboxes and "
-                        f"the CSR arrays are one mapping for every node — "
-                        f"copy what you need instead",
-                    )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if not isinstance(target, (ast.Attribute, ast.Subscript)):
-                        continue
-                    if self._is_engine_rooted(target, owned):
-                        self.report(
-                            node,
-                            "on_round_batch assigns into awake/inboxes; "
-                            "the engine reuses those columns after the "
-                            "kernel returns",
-                        )
-                    elif self._is_csr_rooted(target):
-                        self.report(
-                            node,
-                            "on_round_batch writes through a CSR column "
-                            "(indptr/nbr/wt); the flat arrays are shared "
-                            "by every node and may be shm-mapped read-only",
-                        )
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if not isinstance(target, ast.Name) and (
-                        self._is_engine_rooted(target, owned)
-                        or self._is_csr_rooted(target)
-                    ):
-                        self.report(
-                            node, "on_round_batch deletes from a shared column"
-                        )
-
-
 #: Every registered rule, id-sorted; the engine and CLI consume this.
 RULES = sorted(
     (
@@ -1136,7 +1005,6 @@ RULES = sorted(
         SeedIgnoringRng,
         UnjsonScenarioParams,
         UndeclaredQualityColumn,
-        BatchSharedMutation,
     ),
     key=lambda rule: rule.id,
 )

@@ -15,14 +15,6 @@ Both engines honor the seeded fault plane of :mod:`repro.sim.faults`
 """
 
 from .metrics import Metrics
-from .kernels import (
-    BatchKernel,
-    available_backends,
-    current_backend,
-    default_backend,
-    set_backend,
-    use_backend,
-)
 from .runner import Context, Inbox, Mode, NodeAlgorithm, Runner, SimulationError
 from .reference import ReferenceRunner
 from .trace import TracingMetrics
@@ -71,10 +63,4 @@ __all__ = [
     "fault_horizon_factor",
     "latency_bound",
     "make_runner",
-    "BatchKernel",
-    "available_backends",
-    "current_backend",
-    "default_backend",
-    "set_backend",
-    "use_backend",
 ]

@@ -389,13 +389,6 @@ for _scenario in (
 _GRAPH_CACHE: dict[tuple, object] = {}
 _GRAPH_CACHE_CAP = 64
 
-#: Shared-memory attach map ``instance_key -> segment name``, set by the
-#: sweep supervisor *before* forking so workers inherit it.  A worker's
-#: :func:`_cached_graph` attaches the published CSR instead of
-#: regenerating the instance; any attach failure falls back to the local
-#: build (the shm plane is an optimization, never a dependency).
-_SHM_ATTACH: dict[tuple, str] = {}
-
 
 def clear_graph_cache() -> None:
     """Drop the per-process graph cache (test hook)."""
@@ -410,13 +403,7 @@ def _cached_graph(scenario: Scenario, n: int, seed: int):
     key = _instance_key(scenario, n, seed)
     graph = _GRAPH_CACHE.get(key)
     if graph is None:
-        segment = _SHM_ATTACH.get(key)
-        if segment is not None:
-            from . import shm
-
-            graph = shm.attach_graph(segment)
-        if graph is None:
-            graph = scenario.build_graph(n, seed)
+        graph = scenario.build_graph(n, seed)
         if len(_GRAPH_CACHE) >= _GRAPH_CACHE_CAP:
             _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
         _GRAPH_CACHE[key] = graph
@@ -606,7 +593,6 @@ def _worker_loop(
     engine: str | None = None,
     latency_model: str | None = None,
     fault_model: str | None = None,
-    backend: str | None = None,
 ) -> None:
     """Supervised-executor worker: serve dispatched cell groups until told to stop.
 
@@ -626,19 +612,6 @@ def _worker_loop(
     reporting it as ``"error"`` would abort the whole sweep instead of
     letting the supervisor's fault path decide.
     """
-    # The backend request is process-wide worker state, set once before
-    # any cell runs (the knob is provenance-only: rows are byte-identical
-    # either way, so a retried group re-run under a fresh worker with the
-    # same request cannot diverge from the first attempt).
-    from .kernels import set_backend
-
-    set_backend(backend)
-    # A forked worker inherits the supervisor's graph cache — including
-    # the instances the supervisor built only to publish their shared-
-    # memory segments.  Drop them so this worker attaches the shared CSR
-    # pages (zero-copy) instead of pinning copy-on-write duplicates.
-    if _SHM_ATTACH:
-        _GRAPH_CACHE.clear()
     while True:
         try:
             group = task_pipe.recv()

@@ -88,7 +88,6 @@ from itertools import repeat
 
 from ..graphs import Graph
 from ..graphs.indexed import IndexedGraph
-from .kernels import WAKE_HALT, WAKE_NEXT, kernel_for
 from .metrics import Metrics
 
 __all__ = ["Mode", "Context", "Inbox", "NodeAlgorithm", "Runner", "SimulationError"]
@@ -350,18 +349,6 @@ class NodeAlgorithm:
         """
         raise NotImplementedError
 
-    @classmethod
-    def batch_kernel(cls, runner) -> object | None:
-        """Build a :class:`~repro.sim.kernels.BatchKernel` for ``runner``.
-
-        Protocols ported to the batch path override this to return a
-        kernel instance (or ``None`` when this particular run does not fit
-        the kernel's shape).  The default keeps the scalar path.  The
-        engine only consults this hook when every dispatch gate in
-        :func:`~repro.sim.kernels.kernel_for` passes.
-        """
-        return None
-
 
 class Runner:
     """Executes one protocol over a graph and meters it.
@@ -545,14 +532,6 @@ class Runner:
             uniform = latency.uniform_delay
             if uniform is None:
                 delays = latency.port_delays(indexed)
-        # Batch-kernel dispatch: when every gate passes (numpy backend,
-        # plain Metrics, no fault plane, capacity 1, homogeneous roster
-        # that opts in, unit latency) the per-round node loop below is
-        # replaced by one kernel call over the whole awake set.  Delivery,
-        # scheduling and all metering stay on the exact scalar code path,
-        # which is what keeps kernel runs byte-identical (see
-        # repro.sim.kernels).
-        kernel = kernel_for(self) if latency is None or uniform == 1 else None
 
         # Wake schedule: per-round buckets of node indices plus a heap of the
         # *distinct* pending rounds.  A round enters the heap exactly once,
@@ -693,43 +672,6 @@ class Runner:
                 # ``round_width`` of them.
                 metrics.current_round = r * width
             nxt_round = r + 1
-            codes = None
-            if kernel is not None:
-                codes = kernel.on_round_batch(
-                    r, awake, inboxes,
-                    out_ports, out_payloads, bcast_src, bcast_payloads,
-                )
-            if codes is not None:
-                # Kernel round: apply the returned wake codes with the
-                # same scheduling logic as the scalar loop below.  Kernel
-                # sends bypass the per-port capacity counters (the kernel
-                # contract caps it at one message per port per round), so
-                # the touched-list reset after delivery is a no-op.
-                for k, i in enumerate(awake):
-                    if sleeping:
-                        awake_stamp[i] = r
-                    box = inboxes[i]
-                    if box.senders:
-                        box.senders.clear()
-                        box.payloads.clear()
-                    wake = codes[k]
-                    if wake == WAKE_NEXT:
-                        s = nxt_round
-                    elif wake >= 0:
-                        s = wake
-                    else:
-                        if wake == WAKE_HALT:
-                            contexts[i]._halted = True
-                        continue  # halted or idle: no wake scheduled
-                    next_wake[i] = s
-                    slot_bucket = buckets.get(s)
-                    if slot_bucket is None:
-                        buckets[s] = [i]
-                        heappush(heap, s)
-                    else:
-                        slot_bucket.append(i)
-                wake_log.extend(awake)
-                awake = ()  # the shared metering tail below already ran
             for i in awake:
                 if sleeping:
                     awake_stamp[i] = r
@@ -981,10 +923,6 @@ class Runner:
                 _fold_wakes(metrics.awake_rounds, wake_log, labels, width)
                 wake_log.clear()
 
-        if kernel is not None:
-            # Kernels that mirror instance state in their own columns write
-            # it back here — drivers read results off the instances.
-            kernel.finalize()
         if fast:
             # Final fold of the deferred logs (see _fold_* above): counting
             # happens in C over plain integer columns, and label pairs are

@@ -1,8 +1,11 @@
 """Cross-module integration: full pipelines agreeing with each other."""
 
+import subprocess
+import sys
+
 import pytest
 
-from repro.testing import small_weighted_graph
+from repro.testing import small_weighted_graph, subprocess_env
 from repro import graphs, sssp, cssp, run_bellman_ford, run_distributed_dijkstra
 from repro.energy import energy_cssp, low_energy_bfs_from_scratch
 from repro.graphs import INFINITY
@@ -92,3 +95,24 @@ class TestEndToEndScenario:
                     assert result.distance(a, c) <= (
                         result.distance(a, b) + result.distance(b, c)
                     )
+
+
+class TestImportFootprint:
+    def test_numpy_stays_off_the_import_path(self):
+        # Every node step is pure Python; importing numpy would add its
+        # start-up time and memory to every CLI call and sweep worker.
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.api import run_sweep_spec, smoke_spec\n"
+            "run_sweep_spec(smoke_spec(workers=1))\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

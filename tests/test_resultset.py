@@ -235,20 +235,22 @@ class TestResume:
         assert len(store) == 2
         assert {("g", 9, 0, "d"), ("g", 12, 0, "d")} == store.completed()
 
-    def test_widening_a_spec_reuses_the_narrow_run(self, tmp_path):
+    @pytest.mark.parametrize("scenario", ["bfs/grid", "labeled-bfs/grid"])
+    def test_widening_a_spec_reuses_the_narrow_run(self, tmp_path, scenario):
         path = tmp_path / "runs.jsonl"
-        narrow = SweepSpec(scenarios=("bfs/grid",), sizes=(9,), seeds=(0,),
+        narrow = SweepSpec(scenarios=(scenario,), sizes=(9,), seeds=(0,),
                            output=str(path))
         run_sweep_spec(narrow)
-        wide = SweepSpec(scenarios=("bfs/grid",), sizes=(9, 16), seeds=(0, 1),
+        wide = SweepSpec(scenarios=(scenario,), sizes=(9, 16), seeds=(0, 1),
                          output=str(path))
         executed = []
         rows = run_sweep_spec(
             wide, progress=lambda done, total, row: executed.append(cell_key(row))
         )
         assert len(rows) == 4
-        assert ("bfs/grid", 9, 0) not in executed
+        assert (scenario, 9, 0) not in executed
         assert len(executed) == 3
+        assert rows == run_sweep_spec(wide.replace(output=None))
 
 
 class TestProgressCallback:
