@@ -74,6 +74,13 @@ class TestSweepSpecValidation:
         with pytest.raises(SpecError, match="unknown fields"):
             SweepSpec.from_dict({"kind": "sweep", "frobnicate": 1})
 
+    @pytest.mark.parametrize("cls", [SweepSpec, BenchSpec], ids=["sweep", "bench"])
+    def test_retired_backend_field_is_rejected(self, cls):
+        # The kernel-dispatch knob is gone; an old spec file naming it must
+        # fail loudly rather than run with the field silently dropped.
+        with pytest.raises(SpecError, match=r"unknown fields \['backend'\]"):
+            cls.from_dict({"kind": cls.kind, "backend": "numpy"})
+
     def test_wrong_kind_rejected(self):
         with pytest.raises(SpecError, match="expected kind"):
             SweepSpec.from_dict({"kind": "bench"})

@@ -67,6 +67,13 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "usage:" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "bench"])
+    def test_retired_backend_flag_exits_2_with_usage(self, command, capsys):
+        assert main([command, "--backend", "scalar"]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--backend" in err
+
     @pytest.mark.parametrize("flag", ["--sizes", "--seeds"])
     def test_malformed_int_csv_exits_2_with_usage(self, flag, capsys):
         assert main(["sweep", flag, "16,x"]) == 2

@@ -1,7 +1,9 @@
 """Cross-module integration: full pipelines agreeing with each other."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from repro import graphs, sssp, cssp, run_bellman_ford, run_distributed_dijkstra
 from repro.energy import energy_cssp, low_energy_bfs_from_scratch
 from repro.graphs import INFINITY
 from repro.sim import Metrics
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 class TestAllAlgorithmsAgree:
@@ -116,3 +120,32 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_nothing_in_src_imports_the_compatibility_stubs(self):
+        # repro.sim.kernels and repro.sim.shm survive only as names the
+        # benchmark's tracer patches; no library code may depend on them.
+        stubs = {"repro.sim.kernels", "repro.sim.shm"}
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            package = ".".join(path.relative_to(SRC).parent.parts)
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+                    module = ".".join(filter(None, [base, node.module]))
+                    targets = [module] + [f"{module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if stubs.intersection(targets):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert offenders == []
+
+    @pytest.mark.parametrize(
+        "module, name", [("kernels", "BatchKernel"), ("shm", "publish_graph")]
+    )
+    def test_compatibility_stub_holds_only_its_one_name(self, module, name):
+        tree = ast.parse((SRC / "repro" / "sim" / f"{module}.py").read_text())
+        docstring, *rest = tree.body
+        assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+        assert [getattr(node, "name", None) for node in rest] == [name]

@@ -11,6 +11,10 @@ The protocols are deliberately order-insensitive (they aggregate their
 inbox, never index into it), because the engines step awake nodes in
 different deterministic orders (node-index vs ``repr``-sorted) and the model
 makes no promise about mailbox ordering.
+
+The library's own protocols that once also ran as batch kernels are pinned
+the same way at the end of the module, against both the reference engine
+and the unit-latency event scheduler.
 """
 
 import random
@@ -18,7 +22,13 @@ import random
 import pytest
 
 from repro import graphs
-from repro.sim import Metrics, Mode, NodeAlgorithm, ReferenceRunner, Runner
+from repro.baselines.bellman_ford import BellmanFordNode
+from repro.core.bfs import WeightedBFS
+from repro.core.boruvka import BoruvkaNode
+from repro.core.trees import ConvergecastBroadcast, RootedForest, bfs_forest
+from repro.energy.labeled_bfs import LabeledBFS
+from repro.graphs import INFINITY
+from repro.sim import EventRunner, Metrics, Mode, NodeAlgorithm, ReferenceRunner, Runner
 
 
 class Gossip(NodeAlgorithm):
@@ -290,9 +300,6 @@ def test_broadcast_capacity_breach_detected():
 def test_real_algorithms_run_under_the_reference_oracle(seed):
     """The oracle must execute the library's actual protocols, not just the
     synthetic differential ones — they read the columnar inbox view."""
-    from repro.baselines.bellman_ford import BellmanFordNode
-    from repro.core.bfs import WeightedBFS
-
     g = graphs.random_weights(
         graphs.random_connected_graph(12, extra_edge_prob=0.2, seed=seed), 7, seed=seed
     )
@@ -352,3 +359,149 @@ def test_parity_with_non_integer_labels():
         g, lambda: {u: Gossip(index_of[u], 3) for u in g.nodes()}, Mode.CONGEST
     )
     assert_identical(new, ref)
+
+
+# -- the library protocols that once had batch kernels ---------------------
+#
+# Labeled BFS, weighted BFS, Bellman-Ford, Boruvka and the convergecast were
+# each also run by a vectorized batch kernel, whose parity with the scalar
+# ``on_round`` step cross-checked that step.  The scalar step is now the
+# only one, so each protocol is pinned here to the independent reference
+# engine (and to the unit-latency event scheduler) on three graph shapes:
+# random weights, a unit-weight grid full of distance ties, and a weighted
+# graph with two components.  Outputs are compared only where the protocol
+# defines them independently of mailbox order (distances and winning
+# labels, not which of several tied senders became the parent).
+
+
+def _two_component_graph(seed):
+    tree = graphs.random_tree(7, seed=seed)
+    edges = [(u, v, 1) for u, v, _ in tree.edges()]
+    edges += [(7 + i, 7 + (i + 1) % 5, 1) for i in range(5)]
+    return graphs.random_weights(graphs.Graph.from_edges(edges), 5, seed=seed)
+
+
+GRAPH_SHAPES = {
+    "er": lambda: graphs.random_weights(
+        graphs.random_connected_graph(14, extra_edge_prob=0.25, seed=4), 7, seed=4
+    ),
+    "grid": lambda: graphs.grid_graph(4, 4),
+    "two-components": lambda: _two_component_graph(5),
+}
+
+
+def _dists(algorithms):
+    return {u: a.dist for u, a in algorithms.items()}
+
+
+def _weighted_bfs(g):
+    source = min(g.nodes())
+    exact = g.dijkstra([source])
+    tau = max(d for d in exact.values() if d != INFINITY) // 2 + 1  # thresholded
+    expected = {u: d if d <= tau else INFINITY for u, d in exact.items()}
+    return (
+        lambda: {
+            u: WeightedBFS(u, tau, source_offset=0 if u == source else None, collect_parent=True)
+            for u in g.nodes()
+        },
+        _dists,
+        expected.__eq__,
+    )
+
+
+def _labeled_bfs(g):
+    nodes = sorted(g.nodes())
+    labels = {nodes[0]: "a", nodes[len(nodes) // 2]: "b", nodes[-1]: "c"}
+    tau = g.num_nodes * g.max_weight()
+    per_source = {s: g.dijkstra([s]) for s in labels}
+    expected = {}
+    for u in g.nodes():
+        dist = min(per_source[s][u] for s in labels)
+        winners = [labels[s] for s in labels if per_source[s][u] == dist != INFINITY]
+        expected[u] = (dist, min(winners, default=None))
+    return (
+        lambda: {u: LabeledBFS(u, tau, source_label=labels.get(u)) for u in g.nodes()},
+        lambda algorithms: {u: (a.dist, a.label) for u, a in algorithms.items()},
+        expected.__eq__,
+    )
+
+
+def _bellman_ford(send_on_change):
+    def protocol(g):
+        source = min(g.nodes())
+        return (
+            lambda: {
+                u: BellmanFordNode(u, u == source, g.num_nodes, send_on_change=send_on_change)
+                for u in g.nodes()
+            },
+            _dists,
+            g.dijkstra([source]).__eq__,
+        )
+
+    return protocol
+
+
+def _boruvka(g):
+    def spans(parent):
+        RootedForest(parent).validate_against(g)
+        return True
+
+    return (
+        lambda: {u: BoruvkaNode(u, g.num_nodes) for u in g.nodes()},
+        lambda algorithms: {u: a.parent for u, a in algorithms.items()},
+        spans,
+    )
+
+
+def _convergecast(g):
+    forest = bfs_forest(g)
+    values = {u: 3 * i + 1 for i, u in enumerate(sorted(g.nodes()))}
+    tree_sum = {
+        u: sum(values[v] for v in members)
+        for members in forest.components().values()
+        for u in members
+    }
+    return (
+        lambda: {u: ConvergecastBroadcast(forest, u, values[u], sum) for u in g.nodes()},
+        lambda algorithms: {u: a.result for u, a in algorithms.items()},
+        tree_sum.__eq__,
+    )
+
+
+PROTOCOLS = {
+    "weighted-bfs": _weighted_bfs,
+    "labeled-bfs": _labeled_bfs,
+    "bellman-ford": _bellman_ford(send_on_change=False),
+    "bellman-ford-on-change": _bellman_ford(send_on_change=True),
+    "boruvka": _boruvka,
+    "convergecast": _convergecast,
+}
+
+
+def _run_protocol(engine, protocol, shape):
+    g = GRAPH_SHAPES[shape]()
+    make, read, correct = PROTOCOLS[protocol](g)
+    algorithms = make()
+    metrics = Metrics()
+    engine(g, algorithms, Mode.CONGEST, metrics=metrics).run()
+    out = read(algorithms)
+    assert correct(out), f"{protocol} on {shape} under {engine.__name__}"
+    return out, metrics
+
+
+@pytest.mark.parametrize("shape", list(GRAPH_SHAPES))
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_formerly_batched_protocols_match_the_reference_engine(protocol, shape):
+    out, metrics = _run_protocol(Runner, protocol, shape)
+    ref_out, ref_metrics = _run_protocol(ReferenceRunner, protocol, shape)
+    assert out == ref_out
+    assert_identical(metrics, ref_metrics)
+
+
+@pytest.mark.parametrize("shape", list(GRAPH_SHAPES))
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_formerly_batched_protocols_match_under_the_event_scheduler(protocol, shape):
+    out, metrics = _run_protocol(Runner, protocol, shape)
+    event_out, event_metrics = _run_protocol(EventRunner, protocol, shape)
+    assert out == event_out
+    assert_identical(metrics, event_metrics)
