@@ -6,8 +6,33 @@ log^2 n factor shows up as mild super-linearity at small scale).
 """
 
 from _bench import record_table, run_once
+from repro import cssp, graphs
 from repro.analysis import fit_power_law
-from repro.bench import E2_SIZES as SIZES, e2_measure as measure, e2_sweep as run_sweep
+from repro.sim import Metrics
+
+SIZES = [16, 24, 32, 48, 64]
+
+
+def measure(family: str, n: int, zero_weights: bool = False):
+    g = graphs.make_family(family, n)
+    g = graphs.random_weights(g, 9, seed=n, min_weight=0 if zero_weights else 1)
+    m = Metrics()
+    cssp(g, {next(iter(g.nodes())): 0}, metrics=m)
+    return g.num_nodes, m
+
+
+def run_sweep():
+    rows = []
+    fits = {}
+    for family in ("path", "grid", "er"):
+        ns, rounds = [], []
+        for n in SIZES:
+            real_n, m = measure(family, n)
+            ns.append(real_n)
+            rounds.append(m.rounds)
+            rows.append([family, real_n, m.rounds, m.total_messages, m.max_congestion])
+        fits[family] = fit_power_law(ns, rounds)
+    return rows, fits
 
 
 def test_e2_cssp_time_scaling(benchmark):

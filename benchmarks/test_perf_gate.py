@@ -1,18 +1,13 @@
-"""Perf smoke gate (tier-2): the CLI surfaces stay fast.
+"""Perf smoke gate (tier-2): the CLI's CI entry point stays fast.
 
-Runs the two cheap CI entry points as real subprocesses with a generous
-wall-clock budget:
-
-* ``python -m repro sweep --smoke`` — the fixed tiny sweep must complete;
-* ``python -m repro bench --quick`` — one repetition of the pinned
-  benchmark subset, compared in-process by the CLI against the recorded
-  ``BENCH.json`` baseline; the command exits non-zero (failing this test
-  loudly) if any experiment regressed beyond 2x its recorded median.
+Runs ``python -m repro sweep --smoke`` as a real subprocess with a generous
+wall-clock budget: the fixed tiny sweep must complete.  Wall time itself is
+measured by the repository's one benchmark, ``perfbench/`` (see
+``perfbench/README.md``).
 
 Runs under the ``bench`` marker (tier-2) like everything in this tree —
-tier-1 never pays for it.  The wall-clock budgets are deliberately loose
-(shared CI machines); the 2x factor against the recorded medians is the
-actual regression tripwire.
+tier-1 never pays for it.  The budget is deliberately loose (shared CI
+machines): an outright hang, not jitter, is what it catches.
 """
 
 from __future__ import annotations
@@ -26,9 +21,8 @@ from _bench import run_once
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Generous ceilings — an outright hang, not jitter, is what they catch.
+#: Generous ceiling — an outright hang, not jitter, is what it catches.
 SMOKE_BUDGET_S = 120
-BENCH_BUDGET_S = 300
 
 
 def _run(args: list[str], timeout: int) -> subprocess.CompletedProcess:
@@ -54,14 +48,3 @@ def test_smoke_sweep_completes(benchmark):
     assert result.returncode == 0, result.stderr
     assert "smoke sweep" in result.stdout
 
-
-def test_bench_quick_within_recorded_baseline(benchmark):
-    if not (REPO_ROOT / "BENCH.json").is_file():
-        import pytest
-
-        pytest.skip("no recorded BENCH.json baseline to gate against")
-    result = run_once(benchmark, lambda: _run(["bench", "--quick"], BENCH_BUDGET_S))
-    assert result.returncode == 0, (
-        "perf smoke gate tripped:\n" + result.stdout + result.stderr
-    )
-    assert "within" in result.stdout

@@ -2,10 +2,10 @@
 
 Every subcommand is a thin constructor over the spec types of
 :mod:`repro.api` — the CLI builds a :class:`~repro.api.SweepSpec` /
-:class:`~repro.api.BenchSpec` / :class:`~repro.api.ReportSpec` (from
-``--spec file.json``, from flags, or both — explicit flags override spec
-fields) and hands it to the matching executor.  Anything the CLI can do,
-a script can do with the same spec objects.
+:class:`~repro.api.ReportSpec` (from ``--spec file.json``, from flags, or
+both — explicit flags override spec fields) and hands it to the matching
+executor.  Anything the CLI can do, a script can do with the same spec
+objects.
 
 Commands
 --------
@@ -25,11 +25,6 @@ Commands
     gaps); ``--max-retries``/``--task-timeout`` tune the supervised
     executor's fault policy.  Cells that kept crashing come back as
     ``failed`` rows and make the command exit 1.
-``bench``
-    Time the pinned benchmark subset and record ``BENCH.json``;
-    ``--quick`` is the CI perf gate (non-zero exit beyond ``--factor`` x
-    the recorded baseline — or when no baseline is recorded at all: a
-    missing ``BENCH.json`` is a *skipped* gate, never a passed one).
 ``report``
     Compile recorded experiment tables into one Markdown document.
 ``lint``
@@ -41,7 +36,7 @@ Commands
     catalog, ``--output sarif`` emits SARIF 2.1.0.  Exit 0 clean, 1
     findings, 2 usage.
 
-``sweep``, ``bench``, and ``report`` accept ``--spec FILE`` (a JSON spec
+``sweep`` and ``report`` accept ``--spec FILE`` (a JSON spec
 artifact, see ``EXPERIMENTS.md``); every subcommand accepts ``--json``
 (machine-readable stdout).  Bad flags or malformed values exit 2 with a
 usage message.
@@ -329,71 +324,6 @@ def _cmd_sweep(args, parser) -> int:
     return status
 
 
-def _cmd_bench(args, parser) -> int:
-    from repro.api import BenchSpec, SpecError, run_bench_spec
-
-    spec = _load_spec_file(args.spec, BenchSpec, parser) if args.spec else BenchSpec()
-    try:
-        spec = spec.replace(
-            experiments=args.experiments,
-            repeats=args.repeats,
-            output=args.output,
-            quick=args.quick,
-            factor=args.factor,
-        )
-    except SpecError as exc:
-        parser.error(str(exc))
-
-    try:
-        outcome = run_bench_spec(spec)
-    except SpecError as exc:
-        print(f"bench error: {exc}", file=sys.stderr)
-        return 2
-
-    repeats = 1 if spec.quick else spec.repeats
-    # The gate verdict is explicit, machine-readable state — a missing
-    # baseline must never read as "gate passed" (it used to exit 0 with
-    # zero violations, silently skipping the CI perf gate).
-    gate = None
-    if spec.quick:
-        if outcome.baseline is None:
-            gate = "skipped-no-baseline"
-        elif outcome.violations:
-            gate = "failed"
-        else:
-            gate = "ok"
-    if args.json:
-        print(json.dumps({
-            "results": outcome.results,
-            "repeats": repeats,
-            "violations": list(outcome.violations),
-            "baseline_path": outcome.baseline_path,
-            "wrote": outcome.wrote,
-            "gate": gate,
-        }, indent=2))
-    else:
-        for name, ms in sorted(outcome.results.items()):
-            print(f"{name:8s} {ms:10.1f} ms   (median of {repeats})")
-        if outcome.wrote:
-            print(f"wrote {outcome.wrote}")
-    if not spec.quick:
-        return 0
-    if gate == "skipped-no-baseline":
-        print(
-            f"no recorded baseline at {outcome.baseline_path}: gate SKIPPED, "
-            "not passed (run `repro bench` to record one)",
-            file=sys.stderr,
-        )
-        return 1
-    if outcome.violations:
-        for line in outcome.violations:
-            print(f"PERF REGRESSION {line}", file=sys.stderr)
-        return 1
-    if not args.json:
-        print(f"within {spec.factor:g}x of recorded baseline ({outcome.baseline_path})")
-    return 0
-
-
 def _cmd_report(args, parser) -> int:
     from repro.api import ReportSpec, SpecError, run_report_spec
 
@@ -501,10 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of Ghaffari & Trygub (PODC 2024): "
-        "spec-driven sweeps, benchmarks, and reports.",
-        epilog="sweep, bench, and report accept --spec FILE (a JSON job "
+        "spec-driven sweeps and reports.",
+        epilog="sweep and report accept --spec FILE (a JSON job "
         "spec; explicit flags override its fields); info, demo, sweep, "
-        "bench, and report accept --json for machine-readable output.",
+        "and report accept --json for machine-readable output.",
     )
     commands = parser.add_subparsers(dest="command", title="Commands", metavar="<command>")
 
@@ -554,19 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--progress", action="store_true", help="stream per-cell progress to stderr")
     sweep.add_argument("--json", action="store_true", help="print rows as JSON")
     sweep.add_argument("--list", action="store_true", help="list registered scenarios and exit")
-
-    bench = commands.add_parser(
-        "bench", help="time the pinned benchmark subset / CI perf gate",
-    )
-    bench.add_argument("--spec", metavar="FILE", help="JSON BenchSpec to start from")
-    bench.add_argument("--experiments", type=_csv, metavar="E2,E6",
-                       help="experiments to time (default: E2,E6,E8,smoke)")
-    bench.add_argument("--repeats", type=int, metavar="N", help="repetitions per experiment (default 3)")
-    bench.add_argument("--output", metavar="PATH", help="baseline file (default BENCH.json)")
-    bench.add_argument("--quick", action="store_true", default=None,
-                       help="one repetition + gate against the recorded baseline")
-    bench.add_argument("--factor", type=float, metavar="X", help="gate threshold (default 2.0)")
-    bench.add_argument("--json", action="store_true", help="machine-readable output")
 
     lint = commands.add_parser(
         "lint", help="static determinism/contract analysis",
@@ -620,8 +537,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_demo(args)
         if args.command == "sweep":
             return _cmd_sweep(args, parser)
-        if args.command == "bench":
-            return _cmd_bench(args, parser)
         if args.command == "lint":
             return _cmd_lint(args, parser)
         return _cmd_report(args, parser)

@@ -4,7 +4,7 @@ Every front end of the library — ``python -m repro``, the ``repro`` console
 script, the benchmark harness, and downstream automation — drives the same
 three ideas:
 
-* a **spec** (:class:`SweepSpec`, :class:`BenchSpec`, :class:`ReportSpec`)
+* a **spec** (:class:`SweepSpec`, :class:`ReportSpec`)
   is a typed, validated, JSON-(de)serializable description of a job.  A
   sweep is a reviewable artifact you can commit, diff, and re-run — not a
   flag soup;
@@ -36,8 +36,7 @@ Quickstart::
     spec.save("sweep.json")           # the job as a reviewable artifact
 
 The layering is strict: this package sits *above* the engine
-(:mod:`repro.sim`) and *below* the front ends (:mod:`repro.__main__`,
-:mod:`repro.bench`).
+(:mod:`repro.sim`) and *below* the front end (:mod:`repro.__main__`).
 """
 
 from .algorithms import (
@@ -49,20 +48,11 @@ from .algorithms import (
 )
 from .resultset import ResultSet, cell_key, failure_record, is_failure
 from .shard import find_shard_stores, merge_shards, shard_store_path, shard_store_paths
-from .specs import BenchSpec, ReportSpec, SpecError, SweepSpec, load_spec
-from .run import (
-    BenchOutcome,
-    run_bench_spec,
-    run_report_spec,
-    run_spec,
-    run_sweep_spec,
-    smoke_spec,
-)
+from .specs import ReportSpec, SpecError, SweepSpec, load_spec
+from .run import run_report_spec, run_spec, run_sweep_spec, smoke_spec
 
 __all__ = [
     "AlgorithmSpec",
-    "BenchOutcome",
-    "BenchSpec",
     "ReportSpec",
     "ResultSet",
     "SpecError",
@@ -77,7 +67,6 @@ __all__ = [
     "load_spec",
     "merge_shards",
     "register_algorithm_spec",
-    "run_bench_spec",
     "run_report_spec",
     "run_spec",
     "run_sweep_spec",

@@ -329,21 +329,21 @@ def discover(*, force: bool = False) -> list[str]:
     global _discovered
     if _discovered and not force:
         return []
+    # Set before loading so a plugin whose import re-enters discover() does
+    # not recurse; cleared again if any target fails, so every later call
+    # retries the broken plugin and raises again.
     _discovered = True
+    from importlib import metadata
+
     loaded: list[str] = []
     try:
-        from importlib import metadata
-    except ImportError:  # pragma: no cover - py3.7 fallback, not supported
-        metadata = None
-    if metadata is not None:
-        try:
-            entry_points = metadata.entry_points(group=PLUGIN_GROUP)
-        except TypeError:  # pragma: no cover - pre-3.10 select API
-            entry_points = metadata.entry_points().get(PLUGIN_GROUP, ())
-        for entry in entry_points:
+        for entry in metadata.entry_points(group=PLUGIN_GROUP):
             _load_plugin(entry.load())
             loaded.append(entry.name)
-    for target in filter(None, os.environ.get(PLUGIN_ENV, "").split(",")):
-        _load_plugin(target.strip())
-        loaded.append(target.strip())
+        for target in filter(None, os.environ.get(PLUGIN_ENV, "").split(",")):
+            _load_plugin(target.strip())
+            loaded.append(target.strip())
+    except BaseException:
+        _discovered = False
+        raise
     return loaded

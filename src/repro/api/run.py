@@ -31,8 +31,8 @@ entry all funnel into it.  It owns the orchestration policy:
   per-shard store (see :mod:`repro.api.shard`); independent machines each
   run one shard and :func:`repro.api.merge_shards` reassembles the table.
 
-:func:`run_bench_spec` and :func:`run_report_spec` give the bench/report
-jobs the same spec-in, artifact-out shape.
+:func:`run_report_spec` gives the report job the same spec-in,
+artifact-out shape.
 """
 
 from __future__ import annotations
@@ -42,20 +42,17 @@ import multiprocessing
 import multiprocessing.connection
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .resultset import ResultSet, cell_key, failure_record
 from .shard import shard_cells, shard_store_path
-from .specs import BenchSpec, ReportSpec, Spec, SpecError, SweepSpec
+from .specs import ReportSpec, Spec, SpecError, SweepSpec
 
 __all__ = [
     "run_sweep_spec",
-    "run_bench_spec",
     "run_report_spec",
     "run_spec",
     "smoke_spec",
-    "BenchOutcome",
 ]
 
 #: Sizes of the fixed tiny CI sweep (``repro sweep --smoke``), which runs
@@ -533,55 +530,6 @@ def run_sweep_spec(
     return rows
 
 
-@dataclass(frozen=True)
-class BenchOutcome:
-    """What a :class:`BenchSpec` run produced and how it compares.
-
-    ``results`` maps experiment name to median ms.  In gate mode (``quick``)
-    ``violations`` lists the experiments that exceeded the budget against
-    ``baseline`` (``None`` when no baseline was recorded); otherwise the
-    refreshed baseline was written to ``wrote``.
-    """
-
-    results: dict = field(default_factory=dict)
-    violations: tuple = ()
-    baseline: dict | None = None
-    baseline_path: str = "BENCH.json"
-    wrote: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def run_bench_spec(spec: BenchSpec) -> BenchOutcome:
-    """Time the pinned workloads per ``spec``; gate or record the baseline."""
-    from .. import bench
-
-    spec = spec.validate()
-    repeats = 1 if spec.quick else spec.repeats
-    try:
-        results = bench.run_bench(spec.experiments, repeats=repeats)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-    meta = bench.bench_provenance()
-    baseline_path = spec.output or "BENCH.json"
-    if not spec.quick:
-        target = bench.write_bench(results, baseline_path, meta=meta)
-        return BenchOutcome(results, baseline_path=baseline_path, wrote=str(target))
-    # Gate mode: load the recorded baseline BEFORE any write, so an output
-    # path equal to the baseline path can never gate results against
-    # themselves; write only when an explicit output path was given.
-    baseline = bench.load_bench(baseline_path)
-    wrote = None
-    if spec.output:
-        wrote = str(bench.write_bench(results, spec.output, meta=meta))
-    violations = () if baseline is None else tuple(
-        bench.compare_to_baseline(results, baseline, factor=spec.factor)
-    )
-    return BenchOutcome(results, violations, baseline, baseline_path, wrote)
-
-
 def run_report_spec(spec: ReportSpec) -> str:
     """Compile the recorded tables per ``spec``; write ``spec.output`` if set."""
     from ..analysis.report import compile_report
@@ -597,8 +545,6 @@ def run_spec(spec: Spec, **kwargs):
     """Dispatch any spec to its executor (the ``kind``-tag single entry point)."""
     if isinstance(spec, SweepSpec):
         return run_sweep_spec(spec, **kwargs)
-    if isinstance(spec, BenchSpec):
-        return run_bench_spec(spec, **kwargs)
     if isinstance(spec, ReportSpec):
         return run_report_spec(spec, **kwargs)
     raise SpecError(f"no executor for spec of type {type(spec).__name__}")

@@ -1,8 +1,8 @@
 """Typed, JSON-(de)serializable job specs.
 
 A spec is the declarative half of a job: *what* to run, never *how it went*
-(results live in :class:`repro.api.ResultSet` / ``BENCH.json``).  All three
-spec types share one contract:
+(results live in a :class:`repro.api.ResultSet`).  Both spec types share
+one contract:
 
 * construction normalizes sequences to tuples, so specs are hashable,
   picklable, and comparable by value;
@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-__all__ = ["SpecError", "Spec", "SweepSpec", "BenchSpec", "ReportSpec", "load_spec"]
+__all__ = ["SpecError", "Spec", "SweepSpec", "ReportSpec", "load_spec"]
 
 
 class SpecError(ValueError):
@@ -301,42 +301,6 @@ class SweepSpec(Spec):
 
 
 @dataclass(frozen=True)
-class BenchSpec(Spec):
-    """The pinned-benchmark job behind ``repro bench`` / ``BENCH.json``.
-
-    ``quick=True`` is the CI gate: one repetition, no baseline rewrite, and
-    a non-zero outcome when any experiment exceeds ``factor`` x the recorded
-    baseline.
-    """
-
-    kind = "bench"
-
-    experiments: tuple | None = None
-    repeats: int = 3
-    output: str | None = None
-    quick: bool = False
-    factor: float = 2.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "experiments", _as_tuple(self.experiments))
-
-    def validate(self) -> "BenchSpec":
-        if self.experiments is not None:
-            _as_tuple(self.experiments, item=str)
-            if not self.experiments:
-                raise SpecError("bench spec: experiments must be None (= default set) or non-empty")
-        if not isinstance(self.repeats, int) or isinstance(self.repeats, bool) or self.repeats < 1:
-            raise SpecError(f"bench spec: repeats must be an integer >= 1, got {self.repeats!r}")
-        if not isinstance(self.quick, bool):
-            raise SpecError(f"bench spec: quick must be a boolean, got {self.quick!r}")
-        if not isinstance(self.factor, (int, float)) or isinstance(self.factor, bool) or self.factor <= 0:
-            raise SpecError(f"bench spec: factor must be a positive number, got {self.factor!r}")
-        if self.output is not None and not isinstance(self.output, str):
-            raise SpecError(f"bench spec: output must be a path string or None, got {self.output!r}")
-        return self
-
-
-@dataclass(frozen=True)
 class ReportSpec(Spec):
     """The report-compilation job: recorded tables -> one Markdown document."""
 
@@ -353,7 +317,7 @@ class ReportSpec(Spec):
         return self
 
 
-_KINDS = {cls.kind: cls for cls in (SweepSpec, BenchSpec, ReportSpec)}
+_KINDS = {cls.kind: cls for cls in (SweepSpec, ReportSpec)}
 
 
 def load_spec(source: str | Path | dict) -> Spec:

@@ -112,8 +112,9 @@ class Rule(ast.NodeVisitor):
 
     Subclasses set the class attributes and implement ``visit_*`` methods
     that call :meth:`report`.  ``exempt_paths`` names posix path suffixes
-    the rule does not apply to (e.g. the wall-clock rule exempts
-    ``repro/bench.py`` — timing is that module's whole job).
+    the rule does not apply to (e.g. the environ-read rule exempts
+    ``repro/api/algorithms.py`` — reading ``REPRO_PLUGINS`` is plugin
+    discovery's whole job).
     ``example_bad`` / ``example_good`` are the rule's fixture snippets:
     the bad one marks each expected finding line with a trailing
     ``# expect: <id>`` comment, and the test suite pins both against the

@@ -16,8 +16,8 @@ Determinism rules
   (row emission, sends, heap pushes, joins) without ``sorted(...)``.
 * ``D104 unsorted-json-digest`` — hashing ``json.dumps`` output without
   ``sort_keys=True`` (digest depends on dict construction order).
-* ``D105 wall-clock`` — wall-clock reads outside :mod:`repro.bench`
-  (measured rows must never embed timing).
+* ``D105 wall-clock`` — wall-clock reads (measured rows must never embed
+  timing).
 * ``D106 identity-ordering`` — ``sorted/min/max/.sort`` keyed on ``id()``
   or ``hash()`` (both vary per process run).
 * ``D107 environ-read`` — ``os.environ`` / ``os.getenv`` outside the
@@ -550,10 +550,9 @@ class WallClock(Rule):
     name = "wall-clock"
     severity = "error"
     summary = (
-        "wall-clock read outside repro.bench: measured rows and digests "
-        "must be pure functions of (scenario, n, seed)"
+        "wall-clock read: measured rows and digests must be pure functions "
+        "of (scenario, n, seed)"
     )
-    exempt_paths = ("repro/bench.py",)
     example_bad = (
         "import time\n"
         "\n"
@@ -572,8 +571,8 @@ class WallClock(Rule):
         if qual in _WALL_CLOCK:
             self.report(
                 node,
-                f"{qual}() is a wall-clock read; timing belongs in "
-                f"repro.bench, never in measured results",
+                f"{qual}() is a wall-clock read; timing belongs in the "
+                f"benchmark harness, never in measured results",
             )
         self.generic_visit(node)
 

@@ -80,7 +80,6 @@ __all__ = [
     "list_algorithms",
     "run_scenario",
     "scenario_digest",
-    "smoke_sweep",
     "clear_graph_cache",
     "ROW_FIELDS",
 ]
@@ -633,10 +632,3 @@ def _worker_loop(
             result_pipe.send(("error", f"{type(exc).__name__}: {exc}"))
         else:
             result_pipe.send(("ok", result))
-
-
-def smoke_sweep(workers: int | None = None) -> list[dict]:
-    """The fixed tiny sweep behind ``python -m repro sweep --smoke`` (CI entry)."""
-    from ..api import run_sweep_spec, smoke_spec
-
-    return run_sweep_spec(smoke_spec(workers=workers))

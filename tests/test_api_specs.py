@@ -1,12 +1,13 @@
 """The spec layer: JSON round-trips, validation, and algorithm descriptors."""
 
+import dataclasses
 import json
+import sys
 
 import pytest
 
 from repro.api import (
     AlgorithmSpec,
-    BenchSpec,
     ReportSpec,
     SpecError,
     SweepSpec,
@@ -14,9 +15,13 @@ from repro.api import (
     list_algorithm_specs,
     load_spec,
     register_algorithm_spec,
+    run_report_spec,
+    run_spec,
+    run_sweep_spec,
     smoke_spec,
 )
 from repro.api.algorithms import discover, resolve_entry_point
+from repro.api.specs import Spec
 from repro.sim.experiments import list_algorithms, run_scenario
 
 
@@ -74,7 +79,7 @@ class TestSweepSpecValidation:
         with pytest.raises(SpecError, match="unknown fields"):
             SweepSpec.from_dict({"kind": "sweep", "frobnicate": 1})
 
-    @pytest.mark.parametrize("cls", [SweepSpec, BenchSpec], ids=["sweep", "bench"])
+    @pytest.mark.parametrize("cls", [SweepSpec], ids=["sweep"])
     def test_retired_backend_field_is_rejected(self, cls):
         # The kernel-dispatch knob is gone; an old spec file naming it must
         # fail loudly rather than run with the field silently dropped.
@@ -83,7 +88,7 @@ class TestSweepSpecValidation:
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(SpecError, match="expected kind"):
-            SweepSpec.from_dict({"kind": "bench"})
+            SweepSpec.from_dict({"kind": "report"})
 
     def test_invalid_json_rejected(self):
         with pytest.raises(SpecError, match="invalid JSON"):
@@ -98,21 +103,12 @@ class TestSweepSpecValidation:
 
 
 class TestOtherSpecs:
-    def test_bench_round_trip(self):
-        spec = BenchSpec(experiments=("E2", "smoke"), repeats=2, quick=True, factor=1.5)
-        assert BenchSpec.from_json(spec.to_json()) == spec
-
-    def test_bench_validation(self):
-        for bad in ({"repeats": 0}, {"factor": 0}, {"quick": "yes"}, {"experiments": ()}):
-            with pytest.raises(SpecError):
-                BenchSpec(**bad).validate()
-
     def test_report_round_trip(self):
         spec = ReportSpec(results_dir="benchmarks/results", output="out.md")
         assert ReportSpec.from_json(spec.to_json()) == spec
 
     def test_load_spec_dispatches_on_kind(self, tmp_path):
-        for spec in (SweepSpec(sizes=(8,)), BenchSpec(repeats=1), ReportSpec()):
+        for spec in (SweepSpec(sizes=(8,)), ReportSpec()):
             path = spec.save(tmp_path / f"{spec.kind}.json")
             loaded = load_spec(path)
             assert type(loaded) is type(spec)
@@ -123,6 +119,31 @@ class TestOtherSpecs:
         path.write_text(json.dumps({"kind": "mystery"}))
         with pytest.raises(SpecError, match="unknown spec kind"):
             load_spec(path)
+        # The retired benchmark job kind is unknown too, not silently mapped.
+        with pytest.raises(SpecError, match="unknown spec kind"):
+            load_spec({"kind": "bench"})
+
+    def test_unknown_kind_error_lists_the_two_spec_kinds(self):
+        with pytest.raises(SpecError, match=r"options: \['report', 'sweep'\]"):
+            load_spec({"kind": "mystery"})
+
+    def test_run_spec_dispatches_each_kind_to_its_executor(self, tmp_path):
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "E1_correctness.txt").write_text("== E1 ==\n")
+        assert run_spec(ReportSpec(results_dir=str(results))) == run_report_spec(
+            ReportSpec(results_dir=str(results))
+        )
+        spec = SweepSpec(scenarios=("bfs/grid",), sizes=(9,))
+        assert run_spec(spec) == run_sweep_spec(spec)
+
+    def test_run_spec_rejects_a_spec_with_no_executor(self):
+        @dataclasses.dataclass(frozen=True)
+        class OrphanSpec(Spec):
+            kind = "orphan"
+
+        with pytest.raises(SpecError, match="no executor for spec of type OrphanSpec"):
+            run_spec(OrphanSpec())
 
     def test_load_spec_missing_file(self, tmp_path):
         with pytest.raises(SpecError, match="does not exist"):
@@ -217,3 +238,64 @@ class TestPluginDiscovery:
         monkeypatch.delenv("REPRO_PLUGINS", raising=False)
         discover(force=True)
         assert discover() == []  # second call is a no-op
+
+    def test_broken_plugin_raises_on_every_call(self, tmp_path, monkeypatch):
+        # A plugin that fails to load must stay loud: a later discover()
+        # retries it and raises again instead of returning [] with its
+        # scenarios silently absent.
+        plugin = tmp_path / "repro_broken_plugin.py"
+        plugin.write_text("raise RuntimeError('broken plugin')\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setenv("REPRO_PLUGINS", "repro_broken_plugin")
+        from repro.api import algorithms
+
+        monkeypatch.setattr(algorithms, "_discovered", False)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="broken plugin"):
+                discover()
+
+    def test_broken_plugin_surfaces_through_get_scenario(self, tmp_path, monkeypatch):
+        # The symptom a user sees: asking for a plugin's scenario reports
+        # the plugin's own error every time, never "unknown scenario".
+        (tmp_path / "repro_broken_lookup.py").write_text("raise RuntimeError('broken plugin')\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setenv("REPRO_PLUGINS", "repro_broken_lookup")
+        from repro.api import algorithms
+        from repro.sim.experiments import get_scenario
+
+        monkeypatch.setattr(algorithms, "_discovered", False)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="broken plugin"):
+                get_scenario("plugin/never-registered")
+
+    def test_repaired_plugin_loads_on_the_next_call(self, tmp_path, monkeypatch):
+        plugin = tmp_path / "repro_repaired_plugin.py"
+        plugin.write_text("raise RuntimeError('broken plugin')\n")
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setenv("REPRO_PLUGINS", "repro_repaired_plugin")
+        from repro.api import algorithms
+
+        monkeypatch.setattr(algorithms, "_discovered", False)
+        with pytest.raises(RuntimeError, match="broken plugin"):
+            discover()
+        plugin.write_text("LOADED = True\n")
+        assert discover() == ["repro_repaired_plugin"]
+        assert discover() == []  # done now: later calls are no-ops
+
+    def test_plugin_reentering_discover_loads_once(self, tmp_path, monkeypatch):
+        (tmp_path / "repro_reentrant_plugin.py").write_text(
+            "from repro.api import discover\n"
+            "calls = []\n"
+            "def register():\n"
+            "    calls.append(discover())\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setenv("REPRO_PLUGINS", "repro_reentrant_plugin:register")
+        from repro.api import algorithms
+
+        monkeypatch.setattr(algorithms, "_discovered", False)
+        assert discover() == ["repro_reentrant_plugin:register"]
+        import repro_reentrant_plugin
+
+        assert repro_reentrant_plugin.calls == [[]]

@@ -46,9 +46,18 @@ class TestCLI:
     def test_help_flag_lists_every_subcommand(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
-        for command in ("info", "demo", "sweep", "bench", "report"):
+        for command in ("info", "demo", "sweep", "report"):
             assert command in out
         assert "--spec" in out  # the spec workflow is advertised
+
+    def test_parser_defines_exactly_the_five_subcommands(self):
+        from repro.__main__ import build_parser
+
+        parser = build_parser()
+        (commands,) = [
+            action for action in parser._actions if action.dest == "command"
+        ]
+        assert set(commands.choices) == {"info", "demo", "sweep", "lint", "report"}
 
     def test_subcommand_help(self, capsys):
         assert main(["sweep", "--help"]) == 0
@@ -57,8 +66,9 @@ class TestCLI:
                      "--output", "--smoke", "--spec", "--json"):
             assert flag in out
 
-    def test_unknown_command_exits_2_with_usage(self, capsys):
-        assert main(["frobnicate"]) == 2
+    @pytest.mark.parametrize("command", ["frobnicate", "bench"])
+    def test_unknown_command_exits_2_with_usage(self, command, capsys):
+        assert main([command]) == 2
         err = capsys.readouterr().err
         assert "usage:" in err
 
@@ -67,7 +77,7 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "usage:" in err
 
-    @pytest.mark.parametrize("command", ["sweep", "bench"])
+    @pytest.mark.parametrize("command", ["sweep"])
     def test_retired_backend_flag_exits_2_with_usage(self, command, capsys):
         assert main([command, "--backend", "scalar"]) == 2
         err = capsys.readouterr().err
@@ -100,6 +110,24 @@ class TestCLI:
     def test_report_bad_args_exit_2_with_usage(self, capsys):
         assert main(["report", ""]) == 2
         assert "usage:" in capsys.readouterr().err
+
+    def test_report_spec_of_another_kind_exits_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "sweep.json"
+        spec_file.write_text(json.dumps({"kind": "sweep", "sizes": [8]}))
+        assert main(["report", "--spec", str(spec_file)]) == 2
+        assert "expected 'report'" in capsys.readouterr().err
+
+    def test_report_spec_file_drives_the_report(self, tmp_path, capsys):
+        d = tmp_path / "results"
+        d.mkdir()
+        (d / "E1_correctness.txt").write_text("== E1 ==\n")
+        out_file = tmp_path / "r.md"
+        spec_file = tmp_path / "report.json"
+        spec_file.write_text(json.dumps(
+            {"kind": "report", "results_dir": str(d), "output": str(out_file)}
+        ))
+        assert main(["report", "--spec", str(spec_file)]) == 0
+        assert "E1" in out_file.read_text()
 
     def test_report_json(self, tmp_path, capsys):
         d = tmp_path / "results"
@@ -163,8 +191,8 @@ class TestSweepSpecCLI:
         assert json.loads(capsys.readouterr().out) == first
 
     def test_wrong_spec_kind_exits_2(self, tmp_path, capsys):
-        spec_file = tmp_path / "bench.json"
-        spec_file.write_text(json.dumps({"kind": "bench"}))
+        spec_file = tmp_path / "report.json"
+        spec_file.write_text(json.dumps({"kind": "report"}))
         assert main(["sweep", "--spec", str(spec_file)]) == 2
         assert "expected 'sweep'" in capsys.readouterr().err
 
@@ -249,98 +277,3 @@ class TestShardCLI:
     def test_bad_retry_and_timeout_values_exit_2(self, capsys):
         assert main(["sweep", *self.SELECTORS, "--max-retries", "-1"]) == 2
         assert main(["sweep", *self.SELECTORS, "--task-timeout", "0"]) == 2
-
-
-class TestBenchCLI:
-    def test_bench_writes_json(self, tmp_path, capsys):
-        target = tmp_path / "BENCH.json"
-        code = main(
-            ["bench", "--experiments", "smoke", "--repeats", "1",
-             "--output", str(target)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "smoke" in out
-        data = json.loads(target.read_text())
-        assert set(data) == {"smoke", "_meta"}
-        assert data["smoke"] > 0
-        # The provenance block records what produced the numbers; the
-        # quick-gate comparator skips it (non-numeric) by construction.
-        assert data["_meta"]["python"]
-
-    def test_bench_json_output(self, tmp_path, capsys):
-        target = tmp_path / "BENCH.json"
-        code = main(["bench", "--experiments", "smoke", "--repeats", "1",
-                     "--output", str(target), "--json"])
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["results"]["smoke"] > 0
-        assert data["wrote"] == str(target)
-
-    def test_bench_spec_file(self, tmp_path, capsys):
-        spec_file = tmp_path / "bench.json"
-        spec_file.write_text(json.dumps({
-            "kind": "bench", "experiments": ["smoke"], "repeats": 1,
-            "output": str(tmp_path / "B.json"),
-        }))
-        assert main(["bench", "--spec", str(spec_file)]) == 0
-        assert json.loads((tmp_path / "B.json").read_text())["smoke"] > 0
-
-    def test_bench_quick_without_baseline_exits_nonzero(self, tmp_path, capsys, monkeypatch):
-        # A missing baseline must never read as "gate passed": the old
-        # behavior exited 0 with zero violations, silently skipping the
-        # CI perf gate.
-        monkeypatch.chdir(tmp_path)  # no BENCH.json here
-        assert main(["bench", "--quick", "--experiments", "smoke"]) == 1
-        err = capsys.readouterr().err
-        assert "no recorded baseline" in err and "SKIPPED" in err
-
-    def test_bench_quick_without_baseline_json_carries_gate_field(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--quick", "--experiments", "smoke", "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["gate"] == "skipped-no-baseline"
-        assert payload["violations"] == []
-
-    def test_bench_quick_with_baseline_json_gate_ok(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "BENCH.json").write_text(json.dumps({"smoke": 1e9}))
-        assert main(["bench", "--quick", "--experiments", "smoke", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["gate"] == "ok"
-
-    def test_bench_quick_flags_regression(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        # An absurdly fast recorded baseline forces the 2x gate to trip.
-        (tmp_path / "BENCH.json").write_text(json.dumps({"smoke": 0.001}))
-        assert main(["bench", "--quick", "--experiments", "smoke"]) == 1
-        assert "PERF REGRESSION" in capsys.readouterr().err
-
-    def test_bench_quick_gates_before_overwriting_the_baseline(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # --output pointing at the baseline file must still gate against
-        # the OLD recorded numbers, not the freshly written ones.
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "BENCH.json").write_text(json.dumps({"smoke": 0.001}))
-        assert main(["bench", "--quick", "--experiments", "smoke",
-                     "--output", "BENCH.json"]) == 1
-        assert "PERF REGRESSION" in capsys.readouterr().err
-        # ... and the refreshed numbers were still written for inspection.
-        assert json.loads((tmp_path / "BENCH.json").read_text())["smoke"] > 1
-
-    def test_bench_quick_passes_against_generous_baseline(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "BENCH.json").write_text(json.dumps({"smoke": 1e9}))
-        assert main(["bench", "--quick", "--experiments", "smoke"]) == 0
-        assert "within" in capsys.readouterr().out
-
-    def test_bench_unknown_experiment_rejected(self, capsys):
-        assert main(["bench", "--experiments", "nope", "--repeats", "1"]) == 2
-
-    def test_bench_bad_repeats_exits_2(self, capsys):
-        assert main(["bench", "--repeats", "fast"]) == 2
-        assert "usage:" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Documentation consistency: the docs reference things that exist."""
 
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -42,6 +43,24 @@ class TestDesignModuleReferences:
                 module, _, attr = match.rpartition(".")
                 mod = importlib.import_module(module)
                 assert hasattr(mod, attr), f"DESIGN.md references missing {match}"
+
+
+class TestOneBenchmark:
+    WORKLOADS = [
+        workload["name"]
+        for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    ]
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_ci_runs_a_traced_pass_of_every_declared_workload(self, workload):
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        loop = re.search(
+            r"for w in ([^;]+); do\s+python perfbench/run\.py --workload \"\$w\" "
+            r"--seconds 1 --trace 1\s+done",
+            ci,
+        )
+        assert loop, "CI lost its perfbench step"
+        assert workload in loop.group(1).split()
 
 
 class TestPublicAPIHasDocstrings:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis import fit_sweep, sweep_report, sweep_table
-from repro.api import SweepSpec, run_sweep_spec
+from repro.api import SweepSpec, run_sweep_spec, smoke_spec
 from repro.sim.experiments import (
     ROW_FIELDS,
     Scenario,
@@ -17,7 +17,6 @@ from repro.sim.experiments import (
     list_scenarios,
     register_scenario,
     run_scenario,
-    smoke_sweep,
 )
 
 
@@ -122,8 +121,8 @@ class TestSweepDeterminism:
         assert key == [("bfs/grid", 9, 0), ("bfs/grid", 9, 1), ("bfs/grid", 16, 0), ("bfs/grid", 16, 1)]
 
     def test_smoke_sweep_is_small_and_deterministic(self):
-        first = smoke_sweep()
-        second = smoke_sweep(workers=2)
+        first = run_sweep_spec(smoke_spec())
+        second = run_sweep_spec(smoke_spec(workers=2))
         assert first == second
         # Every registered scenario appears (the CI oracle coverage), at
         # two sizes and one seed each.

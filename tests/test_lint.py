@@ -223,15 +223,39 @@ class TestSelection:
         assert findings[0].line == 1
 
     def test_exempt_paths_skip_the_rule(self):
-        timed = "import time\n\n\ndef f():\n    return time.time()\n"
-        assert {f.rule for f in lint_source(timed)} == {"D105"}
-        assert lint_source(timed, path="src/repro/bench.py") == []
+        environ = "import os\n\n\ndef f():\n    return os.environ.get(\"X\")\n"
+        assert {f.rule for f in lint_source(environ)} == {"D107"}
+        assert lint_source(environ, path="src/repro/api/algorithms.py") == []
 
     def test_exempt_paths_match_whole_file_names_only(self):
-        timed = "import time\n\n\ndef f():\n    return time.time()\n"
-        assert {f.rule for f in lint_source(timed, path="src/repro/bench_tools.py")} == {
-            "D105"
-        }
+        environ = "import os\n\n\ndef f():\n    return os.environ.get(\"X\")\n"
+        assert {
+            f.rule for f in lint_source(environ, path="src/repro/api/my_algorithms.py")
+        } == {"D107"}
+
+    @pytest.mark.parametrize(
+        "path", ["src/repro/bench.py", "src/repro/api/run.py", "src/repro/sim/runner.py"]
+    )
+    def test_wall_clock_rule_exempts_no_module(self, path):
+        # Wall time is measured outside the library (perfbench/), so no
+        # module of src/repro may read a clock without a reasoned pragma.
+        timed = "import time\n\n\ndef f():\n    return time.perf_counter()\n"
+        assert [f.rule for f in lint_source(timed, path=path)] == ["D105"]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import time\n\nx = time.monotonic_ns()\n",
+            "from time import perf_counter\n\nx = perf_counter()\n",
+            "from time import process_time as clock\n\nx = clock()\n",
+            "import datetime\n\nx = datetime.datetime.utcnow()\n",
+            "from datetime import datetime\n\nx = datetime.now()\n",
+            "from datetime import date\n\nx = date.today()\n",
+        ],
+        ids=["module", "from-import", "aliased", "datetime-module", "datetime-class", "date"],
+    )
+    def test_wall_clock_reads_resolve_through_every_import_style(self, source):
+        assert [(f.rule, f.line) for f in lint_source(source)] == [("D105", 3)]
 
     def test_select_and_ignore_compose(self):
         source = BAD_SNIPPET.replace(
