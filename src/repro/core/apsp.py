@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from ..graphs import Graph
 from ..sim import Metrics
+from ..sim.trace import fold_send_timeline
 from .cssp import DEFAULT_EPS
 from .sssp import SSSPResult, sssp
 
@@ -77,11 +78,15 @@ def schedule_with_random_delays(
     """
     rng = random.Random(seed)
     delays = {i: rng.randrange(max(1, window)) for i in traces}
-    slot_load: Counter = Counter()
+    # A plain dict with a bound ``get`` superimposes about twice as fast as
+    # ``Counter.__missing__`` per (edge, round) key.
+    slot_load: dict = {}
+    load = slot_load.get
     for instance, trace in traces.items():
         delay = delays[instance]
         for (edge, round_number), count in trace.items():
-            slot_load[(edge, round_number + delay)] += count
+            key = (edge, round_number + delay)
+            slot_load[key] = load(key, 0) + count
     makespan = max(
         (delays[i] + durations[i] for i in traces), default=0
     )
@@ -94,25 +99,24 @@ def schedule_with_random_delays(
 class _TracingMetrics(Metrics):
     """Metrics that additionally record when each edge message was sent.
 
-    The per-round position is approximated by the current accumulated round
-    clock at send time: phases compose sequentially, so the clock at the
-    moment a phase runs is exactly the round at which its messages travel.
-
-    Being a :class:`Metrics` *subclass* also sends every phase run under
-    it down the engine's per-event metering path (the batched folds are
-    for plain :class:`Metrics` only), which the per-send hook below needs
-    to observe individual sends.
+    ``trace[((src, dst), round)]`` counts the messages on ``src -> dst`` at
+    the absolute round ``round``: the rounds of completed phases (phases
+    compose sequentially, so the clock when a phase runs is exactly the
+    round at which its messages travel) plus the in-phase real round.  The
+    trace is built in bulk from each run's send log when the engine folds
+    it, like :class:`~repro.sim.TracingMetrics` but without the per-round
+    profiles nothing here reads.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.trace: Counter = Counter()
-        self.current_round = 0
 
-    def record_send(self, src: object, dst: object, delivered: bool) -> None:
-        super().record_send(src, dst, delivered)
-        # Absolute send round = rounds of completed phases + in-phase round.
-        self.trace[((src, dst), self.rounds + self.current_round)] += 1
+    def record_logs(self, indexed, width, wakes, ports, bcasts, drops, marks) -> None:
+        super().record_logs(indexed, width, wakes, ports, bcasts, drops, marks)
+        fold_send_timeline(self.trace, indexed, self.rounds, width, ports, bcasts, marks)
+        if marks:
+            self.current_round = marks[-1][0] * width
 
 
 def apsp(

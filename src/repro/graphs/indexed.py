@@ -151,8 +151,8 @@ class IndexedGraph:
     def port_pairs(self) -> list[tuple]:
         """Flat per-port ``(src_label, dst_label)`` table (parallel to ``nbr``).
 
-        Used by the runner's per-message slow path (tracing metrics); the
-        fast path folds port counts through :meth:`port_src_labels` instead.
+        Used by the time-resolved metering folds (:mod:`repro.sim.trace`);
+        the base fold counts ports through :meth:`port_src_labels` instead.
         Built lazily once per view.
         """
         pairs = self._port_pairs

@@ -40,18 +40,21 @@ class Metrics:
         self.subproblem_participation: Counter = Counter()
         # Fault-plane meters (repro.sim.faults): all stay zero on fault-free
         # runs, and to_dict() omits them when zero, so serialized metrics
-        # remain byte-identical to pre-fault stores.
+        # remain byte-identical to pre-fault stores.  A dropped message was
+        # sent, so it is in the message and congestion totals, but not in
+        # the sleeping model's lost_messages; a duplicate is in no total.
         self.messages_dropped: int = 0
         self.messages_duplicated: int = 0
         self.nodes_crashed: int = 0
         self.recoveries: int = 0
-        # In-phase real round of the currently executing runner (megaround
-        # index times round_width); set by the engines so subclasses can
-        # timestamp individual sends (see repro.core.apsp).
+        # Last active real round of the latest run (megaround index times
+        # round_width).  The time-resolved subclasses stamp it when they
+        # fold; plain Metrics keep 0.  Serialized for store compatibility.
         self.current_round: int = 0
 
     # ------------------------------------------------------------------
-    # recording (called by the runner)
+    # recording (the per-event hooks serve ReferenceRunner and hand-built
+    # accumulators; Runner and EventRunner fold through record_logs)
     # ------------------------------------------------------------------
     def record_send(self, src: object, dst: object, delivered: bool) -> None:
         """Count one message on directed edge ``src -> dst``."""
@@ -72,35 +75,41 @@ class Metrics:
         """Note that ``node`` took part in one (sub)problem (Lemma 2.4)."""
         self.subproblem_participation[node] += 1
 
-    # -- fault-plane events (called only by faulted engine paths) -------
-    def record_dropped(self, src: object, dst: object) -> None:
-        """One message destroyed by the fault plane at the link.
+    def record_logs(self, indexed, width: int, wakes: list, ports: list,
+                    bcasts: list, drops: list, marks: list) -> None:
+        """Fold one batch of a runner's integer meter logs into the counters.
 
-        The send still happened — it counts toward message/congestion
-        totals like any other send — but it reaches nobody; the loss is
-        a *fault* loss (``messages_dropped``), distinct from the sleeping
-        model's ``lost_messages`` currency.
+        The engines call this once per run (and whenever the logs reach
+        their size bounds) instead of one ``record_send``/``record_awake``
+        per event; message
+        totals and the lost/dropped/duplicated counters are already updated
+        as integers.  Over ``indexed`` (the run's
+        :class:`~repro.graphs.IndexedGraph`): ``wakes`` holds one node
+        index per awake (mega)round, each worth ``width`` rounds; ``ports``
+        one port id per sent message; ``bcasts`` one sender index per
+        broadcast, which sends over every port of that node; ``drops`` one
+        port id per message the fault plane destroyed at the link, which
+        still counts toward congestion.  ``marks`` closes each active round
+        as ``(round, len(wakes), len(ports), len(bcasts))`` so subclasses
+        can place every wake and send in time (see
+        :class:`~repro.sim.TracingMetrics`); this base fold ignores it.
         """
-        self.total_messages += 1
-        self.edge_messages[(src, dst)] += 1
-        self.messages_dropped += 1
-
-    def record_duplicated(self, src: object, dst: object) -> None:
-        """One fault-injected duplicate delivery on ``src -> dst``.
-
-        Duplicates are artifacts of the network, not protocol work: they
-        bypass edge-capacity metering and do not inflate message or
-        congestion totals — only this counter.
-        """
-        self.messages_duplicated += 1
-
-    def record_crash(self, node: object) -> None:
-        """``node`` crashed (fault plane); its pending inbox is destroyed."""
-        self.nodes_crashed += 1
-
-    def record_recovery(self, node: object) -> None:
-        """``node`` restarted with fresh algorithm state after a crash."""
-        self.recoveries += 1
+        labels = indexed.labels
+        awake = self.awake_rounds
+        for i, count in Counter(wakes).items():
+            awake[labels[i]] += count * width
+        nbr = indexed.nbr
+        port_src = indexed.port_src_labels()
+        edges = self.edge_messages
+        counts = Counter(ports)
+        counts.update(drops)
+        for port_id, count in counts.items():
+            edges[(port_src[port_id], labels[nbr[port_id]])] += count
+        indptr = indexed.indptr
+        for src_i, count in Counter(bcasts).items():
+            sender = labels[src_i]
+            for port_id in range(indptr[src_i], indptr[src_i + 1]):
+                edges[(sender, labels[nbr[port_id]])] += count
 
     # ------------------------------------------------------------------
     # derived quantities (the paper's four complexity measures)
@@ -160,8 +169,10 @@ class Metrics:
         self.subproblem_participation.update(other.subproblem_participation)
 
     def copy(self) -> "Metrics":
+        """An independent :class:`Metrics` with the same :meth:`to_dict`."""
         out = Metrics()
         out.merge(self)
+        out.current_round = self.current_round
         return out
 
     # ------------------------------------------------------------------

@@ -106,6 +106,13 @@ class ReferenceRunner:
         self.round_width = round_width
         self.edge_capacity = edge_capacity
         self.metrics = metrics if metrics is not None else Metrics()
+        if type(self.metrics).record_logs is not Metrics.record_logs:
+            # This engine meters per event and never folds logs, so a
+            # time-resolved fold would silently record nothing.
+            raise SimulationError(
+                f"{type(self.metrics).__name__} overrides Metrics.record_logs, "
+                f"which ReferenceRunner never calls"
+            )
         self.max_rounds = max_rounds
         self._contexts = {u: _ReferenceContext(self, u) for u in graph.nodes()}
         # Mailboxes are Inbox views (same shape the fast engine hands out),

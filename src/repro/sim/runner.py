@@ -63,7 +63,14 @@ goes — straight into the receiver's inbox here, into the arrival slot of
 ``t + delay`` there — and so in which time the heap yields next.  Faulted
 and event-scheduled sends share one per-message path (fault draws and the
 sleeping-model delivered-at-send-time check); fault-free synchronous
-delivery keeps its inline fast paths.
+delivery walks the outbox columns inline.
+
+One metering path: every path above writes the same integer logs (awake
+node indices, port ids, broadcast senders, fault-dropped port ids) plus one
+``(round, log offsets)`` mark per active round, and the run ends with a
+single :meth:`~repro.sim.Metrics.record_logs` fold, for every
+:class:`~repro.sim.Metrics` type.  Time-resolved metrics
+(:class:`~repro.sim.TracingMetrics`) override only that fold.
 
 The :class:`Inbox` handed to ``on_round`` is a *view* over the runner's
 reusable buffers: it iterates as ``(sender, payload)`` pairs exactly like
@@ -82,7 +89,6 @@ from __future__ import annotations
 
 import copy
 import enum
-from collections import Counter
 from heapq import heappop, heappush
 from itertools import repeat
 
@@ -107,28 +113,12 @@ class SimulationError(RuntimeError):
 #: Sentinel for :meth:`Context.idle` — sleep with no scheduled wake.
 _IDLE = -1
 
-#: Deferred metric logs fold into their counters once they reach this many
-#: entries, bounding runner memory on message-heavy executions.
+#: The integer meter logs fold into the metrics (Metrics.record_logs) once
+#: they reach this many entries, or once this many rounds are marked (a
+#: mark tuple outweighs ~20 log entries), bounding runner memory on
+#: message-heavy and on long executions.
 _LOG_FOLD = 1 << 20
-
-
-def _fold_wakes(awake_rounds: Counter, wake_log: list, labels: list, width: int) -> None:
-    for i, count in Counter(wake_log).items():
-        awake_rounds[labels[i]] += count * width
-
-
-def _fold_ports(edge_messages: Counter, port_log: list, port_src: list,
-                labels: list, nbr: list) -> None:
-    for port_id, count in Counter(port_log).items():
-        edge_messages[(port_src[port_id], labels[nbr[port_id]])] += count
-
-
-def _fold_bcasts(edge_messages: Counter, bcast_log: list, labels: list,
-                 nbr: list, indptr: list) -> None:
-    for src_i, count in Counter(bcast_log).items():
-        sender = labels[src_i]
-        for port_id in range(indptr[src_i], indptr[src_i + 1]):
-            edge_messages[(sender, labels[nbr[port_id]])] += count
+_MARK_FOLD = 1 << 12
 
 #: ``next_wake`` marker for "no live wake scheduled".
 _NONE = -1
@@ -412,6 +402,13 @@ class Runner:
         self.round_width = round_width
         self.edge_capacity = edge_capacity
         self.metrics = metrics if metrics is not None else Metrics()
+        for hook in ("record_send", "record_awake"):
+            if getattr(type(self.metrics), hook) is not getattr(Metrics, hook):
+                raise SimulationError(
+                    f"{type(self.metrics).__name__} overrides Metrics.{hook}, which "
+                    f"the engines never call: override Metrics.record_logs, the "
+                    f"fold of the run's wake and send logs, instead"
+                )
         self.max_rounds = max_rounds
         from .faults import parse_fault_model
 
@@ -514,13 +511,6 @@ class Runner:
         max_rounds = self.max_rounds
         width = self.round_width
         sleeping = self.mode is Mode.SLEEPING
-        # Bulk counter updates are only valid for a plain Metrics; subclasses
-        # (TracingMetrics etc.) override the record_* hooks and get the
-        # per-event calls — same accumulated state either way.
-        fast = type(metrics) is Metrics
-        # The per-message slow path (tracing metrics) records full label
-        # pairs; the fast path never touches this table.
-        port_pairs = None if fast else indexed.port_pairs()
         # Event scheduler: arrival time -> (unicasts, broadcasts), each a
         # list of (port_id, payload) in global send order.  Within a time,
         # unicasts precede broadcasts, exactly like the synchronous
@@ -576,14 +566,17 @@ class Runner:
         last_round = -1
         messages_sent = 0
         stop_reason: str | None = None
-        # Fast-path metric logs: per-round counter updates are deferred to
-        # batched folds (Counter.update and dict increments have per-call
-        # overhead that dominates sparse rounds).  The logs fold mid-run
-        # whenever they pass _LOG_FOLD entries, so memory stays bounded even
-        # on Theta(mn)-message workloads.
+        # Metering is integer logs, folded by one metrics.record_logs call
+        # per run: no Python call per wake or message, for every Metrics
+        # type.  Each active round closes with one mark of the log offsets
+        # so time-resolved subclasses can place its wakes and sends.  The
+        # logs fold mid-run at the _LOG_FOLD / _MARK_FOLD bounds, so memory
+        # stays bounded even on Theta(mn)-message workloads.
         wake_log: list[int] = []
         port_log: list[int] = []
         bcast_log: list[int] = []
+        drop_log: list[int] = []
+        marks: list[tuple[int, int, int, int]] = []
 
         while heap:
             r = heappop(heap)
@@ -598,7 +591,7 @@ class Runner:
                 # into ``messages_dropped`` only).
                 for i in crash_at.get(r, ()):
                     crashed[i] = True
-                    metrics.record_crash(labels[i])
+                    metrics.nodes_crashed += 1
                     box = inboxes[i]
                     if box.senders:
                         metrics.messages_dropped += len(box.senders)
@@ -641,7 +634,7 @@ class Runner:
                     ctx._halted = False
                     ctx._next_wake = None
                     crashed[i] = False
-                    metrics.record_recovery(labels[i])
+                    metrics.recoveries += 1
                     next_wake[i] = r
                     bucket.append(i)
             # Keep live entries only; consuming an entry marks it dead so a
@@ -666,11 +659,6 @@ class Runner:
             awake.sort()
 
             # --- node steps (deterministic node-index order) ------------
-            if not fast:
-                # Only the per-event slow path (metric subclasses) reads the
-                # in-phase stamp, in real rounds: a megaround spans
-                # ``round_width`` of them.
-                metrics.current_round = r * width
             nxt_round = r + 1
             for i in awake:
                 if sleeping:
@@ -699,11 +687,7 @@ class Runner:
                     heappush(heap, s)
                 else:
                     slot_bucket.append(i)
-            if fast:
-                wake_log.extend(awake)
-            else:
-                for i in awake:
-                    metrics.record_awake(labels[i], width)
+            wake_log.extend(awake)
 
             # --- delivery -------------------------------------------------
             if out_ports or bcast_src:
@@ -736,27 +720,26 @@ class Runner:
                             k = occ.get(port_id, 0)
                             occ[port_id] = k + 1
                             if plane.drop_message(src, dst, r, k) or crashed[dst_i]:
-                                metrics.record_dropped(src, dst)
+                                # Sent, so it counts toward the message and
+                                # congestion totals, but it reaches nobody.
+                                drop_log.append(port_id)
+                                metrics.messages_dropped += 1
                                 return
+                        port_log.append(port_id)
                         if sleeping:
                             # A message reaches its target only if the
                             # target was awake when it was sent (Sec 1.2).
-                            delivered = (
-                                awake_stamp[dst_i] == r and not contexts[dst_i]._halted
-                            )
-                            metrics.record_send(src, dst, delivered)
-                            if not delivered:
+                            if awake_stamp[dst_i] != r or contexts[dst_i]._halted:
+                                metrics.lost_messages += 1
                                 return
-                        else:
-                            metrics.record_send(src, dst, True)
-                            if contexts[dst_i]._halted:
-                                return
+                        elif contexts[dst_i]._halted:
+                            return
                         if plane is not None and plane.duplicate_message(src, dst, r, k):
                             # The duplicate lands right after the original
                             # (same time) — a fault artifact outside the
                             # capacity and message-complexity metering.
                             dup = True
-                            metrics.record_duplicated(src, dst)
+                            metrics.messages_duplicated += 1
                         if arrivals is not None:
                             arrival = r + (uniform or delays[port_id])
                             slot = arrivals.get(arrival)
@@ -786,85 +769,53 @@ class Runner:
                                 else:
                                     nxt_bucket.append(dst_i)
 
+                    sent = len(port_log) + len(drop_log)
                     for port_id, payload in zip(out_ports, out_payloads):
                         deliver(port_id, port_src[port_id], payload, 0)
                     for src_i, payload in zip(bcast_src, bcast_payloads):
                         sender = labels[src_i]
                         for port_id in range(indptr[src_i], indptr[src_i + 1]):
                             deliver(port_id, sender, payload, 1)
+                    metrics.total_messages += len(port_log) + len(drop_log) - sent
                 elif sleeping:
                     # A message reaches its target only if the target was
                     # awake in the round it was sent (Sec 1.2).
-                    if fast:
-                        lost = 0
-                        if out_ports:
-                            port_log.extend(out_ports)
-                            metrics.total_messages += len(out_ports)
-                            for port_id, payload in zip(out_ports, out_payloads):
-                                dst_i = nbr[port_id]
-                                if awake_stamp[dst_i] == r and not contexts[dst_i]._halted:
-                                    box = inboxes[dst_i]
-                                    box.senders.append(port_src[port_id])
-                                    box.payloads.append(payload)
-                                else:
-                                    lost += 1
-                        if bcast_src:
-                            for src_i, payload in zip(bcast_src, bcast_payloads):
-                                dsts = bviews[src_i]
-                                metrics.total_messages += len(dsts)
-                                sender = labels[src_i]
-                                for dst_i in dsts:
-                                    if (
-                                        awake_stamp[dst_i] == r
-                                        and not contexts[dst_i]._halted
-                                    ):
-                                        box = inboxes[dst_i]
-                                        box.senders.append(sender)
-                                        box.payloads.append(payload)
-                                    else:
-                                        lost += 1
-                            bcast_log.extend(bcast_src)
-                        metrics.lost_messages += lost
-                    else:
+                    lost = 0
+                    if out_ports:
+                        port_log.extend(out_ports)
+                        metrics.total_messages += len(out_ports)
                         for port_id, payload in zip(out_ports, out_payloads):
                             dst_i = nbr[port_id]
-                            src, dst = port_pairs[port_id]
-                            delivered = (
-                                awake_stamp[dst_i] == r and not contexts[dst_i]._halted
-                            )
-                            metrics.record_send(src, dst, delivered)
-                            if delivered:
+                            if awake_stamp[dst_i] == r and not contexts[dst_i]._halted:
                                 box = inboxes[dst_i]
-                                box.senders.append(src)
+                                box.senders.append(port_src[port_id])
                                 box.payloads.append(payload)
+                            else:
+                                lost += 1
+                    if bcast_src:
                         for src_i, payload in zip(bcast_src, bcast_payloads):
+                            dsts = bviews[src_i]
+                            metrics.total_messages += len(dsts)
                             sender = labels[src_i]
-                            for port_id in range(indptr[src_i], indptr[src_i + 1]):
-                                dst_i = nbr[port_id]
-                                delivered = (
-                                    awake_stamp[dst_i] == r
-                                    and not contexts[dst_i]._halted
-                                )
-                                metrics.record_send(
-                                    sender, port_pairs[port_id][1], delivered
-                                )
-                                if delivered:
+                            for dst_i in dsts:
+                                if awake_stamp[dst_i] == r and not contexts[dst_i]._halted:
                                     box = inboxes[dst_i]
                                     box.senders.append(sender)
                                     box.payloads.append(payload)
+                                else:
+                                    lost += 1
+                        bcast_log.extend(bcast_src)
+                    metrics.lost_messages += lost
                 else:
                     # CONGEST: never lost; a halted node discards arrivals
                     # silently, others wake-on-message.
                     nxt_bucket = buckets.get(nxt_round)
-                    if fast and out_ports:
+                    if out_ports:
                         port_log.extend(out_ports)
                         metrics.total_messages += len(out_ports)
                     for port_id, payload in zip(out_ports, out_payloads):
                         dst_i = nbr[port_id]
                         dst_ctx = contexts[dst_i]
-                        if not fast:
-                            pair = port_pairs[port_id]
-                            metrics.record_send(pair[0], pair[1], True)
                         if not dst_ctx._halted:
                             box = inboxes[dst_i]
                             box.senders.append(port_src[port_id])
@@ -880,13 +831,7 @@ class Runner:
                     for src_i, payload in zip(bcast_src, bcast_payloads):
                         dsts = bviews[src_i]
                         sender = labels[src_i]
-                        if fast:
-                            metrics.total_messages += len(dsts)
-                        else:
-                            for port_id in range(indptr[src_i], indptr[src_i + 1]):
-                                metrics.record_send(
-                                    sender, port_pairs[port_id][1], True
-                                )
+                        metrics.total_messages += len(dsts)
                         for dst_i in dsts:
                             if not contexts[dst_i]._halted:
                                 box = inboxes[dst_i]
@@ -900,7 +845,7 @@ class Runner:
                                         heappush(heap, nxt_round)
                                     else:
                                         nxt_bucket.append(dst_i)
-                    if fast and bcast_src:
+                    if bcast_src:
                         bcast_log.extend(bcast_src)
                 out_ports.clear()
                 out_payloads.clear()
@@ -909,30 +854,24 @@ class Runner:
                 for port_id in touched:
                     edge_load[port_id] = 0
                 touched.clear()
-                if stop_reason is not None:
-                    break
-                if len(port_log) >= _LOG_FOLD:
-                    _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
-                    port_log.clear()
-                if len(bcast_log) >= _LOG_FOLD:
-                    _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
-                    bcast_log.clear()
-            # wake_log grows on message-free rounds too, so its bound check
-            # cannot hide inside the delivery block.
-            if len(wake_log) >= _LOG_FOLD:
-                _fold_wakes(metrics.awake_rounds, wake_log, labels, width)
-                wake_log.clear()
+            marks.append((r, len(wake_log), len(port_log), len(bcast_log)))
+            if stop_reason is not None:
+                break
+            if (
+                len(marks) >= _MARK_FOLD
+                or len(wake_log) + len(port_log) + len(bcast_log) + len(drop_log) >= _LOG_FOLD
+            ):
+                metrics.record_logs(indexed, width, wake_log, port_log, bcast_log,
+                                    drop_log, marks)
+                for log in (wake_log, port_log, bcast_log, drop_log, marks):
+                    log.clear()
 
-        if fast:
-            # Final fold of the deferred logs (see _fold_* above): counting
-            # happens in C over plain integer columns, and label pairs are
-            # materialized once per *distinct* port/source, not per message.
-            if wake_log:
-                _fold_wakes(metrics.awake_rounds, wake_log, labels, width)
-            if port_log:
-                _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
-            if bcast_log:
-                _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
+        if marks:
+            # Counting happens in C over the integer columns, and label
+            # pairs are built once per distinct port or sender, not per
+            # message.
+            metrics.record_logs(indexed, width, wake_log, port_log, bcast_log,
+                                drop_log, marks)
         final_time = (last_round + 1) * width
         metrics.record_rounds(final_time)
         if indexed._engine_pool is None:

@@ -6,6 +6,13 @@ nodes per round, and per-edge time series.  Useful for debugging schedule
 bugs in sleeping-model protocols (e.g. "who was awake when this offer was
 sent?") and for the congestion-profile example.
 
+The engines never call a per-event hook: the timelines are built in bulk
+when a run folds its integer wake and send logs
+(:meth:`~repro.sim.Metrics.record_logs`), placing each log segment at the
+real round its mark names.  Sends the fault plane drops at the link count
+toward congestion but stay out of the timelines; sleeping-model losses
+(sent to a sleeping node) are in them.
+
 Costs: memory linear in (active rounds + messages); use on experiment-
 sized runs, not the biggest sweeps.
 """
@@ -13,10 +20,41 @@ sized runs, not the biggest sweeps.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 
 from .metrics import Metrics
 
 __all__ = ["TracingMetrics"]
+
+
+def fold_send_timeline(timeline: Counter, indexed, start: int, width: int,
+                       ports: list, bcasts: list, marks: list,
+                       by_round: Counter | None = None) -> None:
+    """Count each logged send into ``timeline[((src, dst), round)]``.
+
+    A send logged before the mark of active round ``r`` happened at real
+    round ``start + r * width``.  The sends are laid out as one port column
+    with a parallel round column and counted by a single ``Counter.update``
+    (in C), not one ``+= 1`` per message.  ``by_round`` also gets each
+    round's message total.
+    """
+    indptr = indexed.indptr
+    sends: list[int] = []
+    when: list[int] = []
+    p0 = b0 = 0
+    for r, _, p1, b1 in marks:
+        before = len(sends)
+        sends.extend(ports[p0:p1])
+        for src_i in bcasts[b0:b1]:
+            sends.extend(range(indptr[src_i], indptr[src_i + 1]))
+        sent = len(sends) - before
+        if sent:
+            now = start + r * width
+            when.extend(repeat(now, sent))
+            if by_round is not None:
+                by_round[now] += sent
+        p0, b0 = p1, b1
+    timeline.update(zip(map(indexed.port_pairs().__getitem__, sends), when))
 
 
 class TracingMetrics(Metrics):
@@ -31,24 +69,24 @@ class TracingMetrics(Metrics):
         #: (edge, round) -> messages, for per-edge congestion timelines.
         self.edge_timeline: Counter = Counter()
 
-    def _now(self) -> int:
-        # Both terms count real rounds: the engines stamp ``current_round``
-        # as the megaround index times ``round_width``.
-        return self.rounds + self.current_round
-
-    def record_send(self, src: object, dst: object, delivered: bool) -> None:
-        super().record_send(src, dst, delivered)
-        now = self._now()
-        self.messages_by_round[now] += 1
-        self.edge_timeline[((src, dst), now)] += 1
-
-    def record_awake(self, node: object, rounds: int = 1) -> None:
-        super().record_awake(node, rounds)
-        # A megaround books ``rounds`` real rounds of energy; each lands in
+    def record_logs(self, indexed, width, wakes, ports, bcasts, drops, marks) -> None:
+        super().record_logs(indexed, width, wakes, ports, bcasts, drops, marks)
+        # ``rounds`` still holds the completed phases: the engine books this
+        # run's rounds after its last fold.
+        start = self.rounds
+        fold_send_timeline(self.edge_timeline, indexed, start, width, ports, bcasts,
+                           marks, self.messages_by_round)
+        # A megaround books ``width`` real rounds of energy; each lands in
         # the timeline, so the profile sums to ``awake_rounds``.
-        now = self._now()
-        for r in range(now, now + rounds):
-            self.awake_by_round[r] += 1
+        awake = self.awake_by_round
+        w0 = 0
+        for r, w1, _, _ in marks:
+            now = start + r * width
+            for t in range(now, now + width):
+                awake[t] += w1 - w0
+            w0 = w1
+        if marks:
+            self.current_round = marks[-1][0] * width
 
     # -- analysis helpers -------------------------------------------------
     def peak_round_load(self) -> tuple[int, int]:

@@ -105,8 +105,8 @@ def run_both(graph, make_algorithms, mode, metrics_type=Metrics, **kwargs):
     return out
 
 
-#: Extra ``run_both`` inputs: the fault plane and the per-event metering
-#: path (metric subclasses) on top of a plain run.
+#: Extra ``run_both`` inputs: the fault plane and the time-resolved
+#: metering fold (metric subclasses) on top of a plain run.
 VARIANTS = {
     "drop": {"faults": "drop:0.2"},
     "dup": {"faults": "dup:0.2"},
@@ -311,8 +311,8 @@ def test_megaround_parity(seed, extra):
 
 
 def test_tracing_metrics_parity():
-    # The slow path (metric subclasses) must agree too — current_round
-    # stamping and per-event record_* calls included.
+    # The time-resolved fold (metric subclasses) must agree too —
+    # current_round stamping and the (edge, round) timelines included.
     g = graphs.random_connected_graph(12, extra_edge_prob=0.2, seed=3)
     out = []
     for engine in (Runner, EventRunner):

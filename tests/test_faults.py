@@ -218,7 +218,7 @@ def _workload_under(workload, fault, engine):
     """``(outputs, metrics)`` of one parity workload under ``fault``.
 
     A traced workload's outputs include the tracer's timelines, so the
-    per-event metering path is compared too.
+    time-resolved metering fold is compared too.
     """
     traced = workload.endswith("-traced")
     metrics = TracingMetrics() if traced else Metrics()

@@ -48,6 +48,14 @@ class TestRoundTrip:
     def test_empty_metrics_round_trip(self):
         assert_equivalent(Metrics.from_dict(Metrics().to_dict()), Metrics())
 
+    @pytest.mark.parametrize("trial", range(10))
+    def test_copy_round_trips_every_serialized_field(self, trial):
+        m = random_metrics(random.Random(3000 + trial))
+        m.messages_dropped, m.messages_duplicated = trial, 2 * trial
+        m.nodes_crashed = m.recoveries = trial % 3
+        m.current_round = 7
+        assert m.copy().to_dict() == m.to_dict()
+
     def test_to_dict_is_insertion_order_independent(self):
         a, b = Metrics(), Metrics()
         for src, dst in [(0, 1), (2, 3), (1, 0)]:

@@ -1,8 +1,10 @@
 """SSSP public API and the random-delay APSP scheduler."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.testing import assert_distances_equal, small_weighted_graph
 from repro import graphs
@@ -126,3 +128,37 @@ class TestScheduler:
             traces, {i: 0 for i in range(10)}, window=7, capacity=1, seed=2
         )
         assert all(0 <= d < 7 for d in report.delays.values())
+
+
+def naive_schedule(traces, durations, window, seed):
+    """The superposition spelled out: one ``Counter`` increment per key."""
+    rng = random.Random(seed)
+    delays = {i: rng.randrange(max(1, window)) for i in traces}
+    load = Counter()
+    for i, trace in traces.items():
+        for (edge, round_number), count in trace.items():
+            load[(edge, round_number + delays[i])] += count
+    makespan = max((delays[i] + durations[i] for i in traces), default=0)
+    return makespan, max(load.values(), default=0), delays
+
+
+_edges = st.sampled_from([("a", "b"), ("b", "a"), ("b", "c"), (0, 1), (1, 0)])
+_traces = st.dictionaries(
+    st.integers(0, 12),
+    st.dictionaries(st.tuples(_edges, st.integers(0, 20)), st.integers(1, 4), max_size=12),
+    max_size=8,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(traces=_traces, window=st.integers(0, 15), seed=st.integers(0, 1000),
+       extra=st.integers(0, 30))
+def test_schedule_matches_naive_superposition(traces, window, seed, extra):
+    traces = {i: Counter(trace) for i, trace in traces.items()}
+    durations = {i: extra + i for i in traces}
+    report = schedule_with_random_delays(
+        traces, durations, window=window, capacity=2, seed=seed
+    )
+    assert (report.makespan, report.max_slot_load, report.delays) == naive_schedule(
+        traces, durations, window, seed
+    )
